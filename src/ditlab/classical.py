@@ -12,6 +12,15 @@ inclusion-exclusion identities exactly.  Replacing each averaged dit-count
 logical profile into the corresponding Shannon formula; that transform is
 exposed here so the correspondence is executable rather than folklore.
 
+Every two-partition profile comes from the block-pair table ``q[i][j]``
+(probability of block ``i`` of one partition and block ``j`` of the other)
+through one kernel, ``_profile``, which applies an entropy functional to the
+marginals and cells; ``_six`` then subtracts out the conditional and mutual
+parts.  The brute-force oracle, ``_region_table``, sums ``w w'`` over
+ordered pairs of cells into a 2x2 table indexed by which partitions
+distinguish the pair; each quantity is a region of it (``_REGION_CELLS``).
+:func:`entropy_profile` fills the same table from explicit ditsets.
+
 Arithmetic is exact when the weights are :class:`fractions.Fraction` (or
 int) valued; with float weights the same code runs in floating point and
 comparisons use a 1e-12 tolerance.
@@ -20,8 +29,10 @@ comparisons use a 1e-12 tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence, Union
 
 from .errors import (
@@ -43,6 +54,21 @@ Number = Union[Fraction, int, float]
 
 #: Comparison tolerance for the float backend.
 FLOAT_TOL = 1e-12
+
+#: Most ordered pairs of cells the brute-force region oracle is run on.
+REGION_ORACLE_BOUND = 10 ** 6
+
+#: The six profile quantities, in field order, as regions of the table
+#: ``t[first partition distinguishes][second distinguishes]``: first, second,
+#: joint, first only, second only, both.
+_REGION_CELLS = (
+    ((1, 0), (1, 1)),
+    ((0, 1), (1, 1)),
+    ((1, 0), (0, 1), (1, 1)),
+    ((1, 0),),
+    ((0, 1),),
+    ((1, 1),),
+)
 
 
 def _is_exact(x: Number) -> bool:
@@ -93,7 +119,7 @@ class ProbDist:
 
     def prob(self, indices: Sequence[int]) -> Number:
         """Probability of the event given by a collection of outcome indices."""
-        return sum(self.weights[i] for i in indices)
+        return _sum(self.weights[i] for i in indices)
 
 
 @dataclass(frozen=True)
@@ -134,10 +160,10 @@ class JointDist:
         return all(_is_exact(x) for r in self.weights for x in r)
 
     def marginal_x(self) -> ProbDist:
-        return ProbDist(tuple(sum(r) for r in self.weights))
+        return ProbDist(tuple(_sum(r) for r in self.weights))
 
     def marginal_y(self) -> ProbDist:
-        return ProbDist(tuple(sum(r[j] for r in self.weights) for j in range(self.y_size)))
+        return ProbDist(tuple(_sum(col) for col in zip(*self.weights)))
 
 
 @dataclass(frozen=True)
@@ -163,6 +189,77 @@ def _check_dist(pi: Partition, p: ProbDist, what: str) -> None:
         )
 
 
+def _sum(values) -> Number:
+    """Left-to-right sum.
+
+    Python 3.12's ``sum`` compensates float rounding, so using it here would
+    make the last digits of a report depend on the interpreter version.
+    """
+    return reduce(operator.add, values, 0)
+
+
+def _logical(values) -> Number:
+    return 1 - _sum(v * v for v in values)
+
+
+def _bits(values) -> float:
+    return _sum(-v * math.log2(v) if v > 0.0 else 0.0 for v in map(float, values))
+
+
+def _six(cls, h_a, h_b, h_joint):
+    """A profile ``cls`` from two entropies and their joint, the rest by subtraction."""
+    return cls(h_a, h_b, h_joint, h_joint - h_b, h_joint - h_a, h_a + h_b - h_joint)
+
+
+def _block_table(cells, n_a: int, n_b: int) -> list:
+    """Block-pair table ``q[i][j]``: total weight of the cells ``(i, j, w)``."""
+    q = [[0] * n_b for _ in range(n_a)]
+    for i, j, w in cells:
+        q[i][j] += w
+    return q
+
+
+def _profile(h, qa, qb, q) -> EntropyProfile:
+    """Apply the entropy functional ``h`` to both marginals and to the cells of ``q``.
+
+    The marginals come from the caller, because summing per point and
+    summing the table's rows round floats differently.
+    """
+    return _six(EntropyProfile, h(qa), h(qb), h(v for row in q for v in row))
+
+
+def _region_table(weights, ids_a, ids_b) -> list:
+    """Brute-force oracle over ordered pairs of cells.
+
+    Cell ``k`` has weight ``weights[k]`` and lies in block ``ids_a[k]`` of
+    the first partition and ``ids_b[k]`` of the second.  ``t[da][db]`` sums
+    ``w w'`` over the pairs whose a-blocks differ (``da``) and whose
+    b-blocks differ (``db``); :func:`_regions` reads the six quantities off
+    it.
+    """
+    cells = [(w, a, b) for w, a, b in zip(weights, ids_a, ids_b) if w]
+    t = [[0, 0], [0, 0]]
+    for w, a, b in cells:
+        for w2, a2, b2 in cells:
+            t[a != a2][b != b2] += w * w2
+    return t
+
+
+def _regions(cls, t):
+    """The six quantities as sums over their regions of a 2x2 table ``t``."""
+    return cls(*(_sum(t[a][b] for a, b in cells) for cells in _REGION_CELLS))
+
+
+def _agree(what: str, closed, oracle, exact: bool, tol: float) -> None:
+    """Raise :class:`InternalInconsistency` where two profiles differ."""
+    for f in fields(closed):
+        a, b = getattr(closed, f.name), getattr(oracle, f.name)
+        if (a != b) if exact else abs(a - b) > tol:
+            raise InternalInconsistency(
+                f"{what}: closed form and oracle disagree on {f.name}: {a!r} vs {b!r}"
+            )
+
+
 def block_probabilities(pi: Partition, p: ProbDist) -> list:
     """Pr(B) for each block of ``pi``, in canonical block order."""
     _check_dist(pi, p, "block probabilities")
@@ -171,7 +268,7 @@ def block_probabilities(pi: Partition, p: ProbDist) -> list:
 
 def logical_entropy(pi: Partition, p: ProbDist) -> Number:
     """Two-draw distinction probability ``1 - sum_B Pr(B)^2``."""
-    return 1 - sum(q * q for q in block_probabilities(pi, p))
+    return _logical(block_probabilities(pi, p))
 
 
 def product_measure(region: PairSet, p: ProbDist) -> Number:
@@ -182,13 +279,11 @@ def product_measure(region: PairSet, p: ProbDist) -> Number:
             f"distribution on {p.size}"
         )
     w = p.weights
-    return sum(w[a] * w[b] for a, b in region)
+    return _sum(w[a] * w[b] for a, b in region)
 
 
-def _close(a: Number, b: Number, exact: bool) -> bool:
-    if exact:
-        return a == b
-    return abs(a - b) <= FLOAT_TOL
+def _point_table(pi: Partition, sigma: Partition, p: ProbDist) -> list:
+    return _block_table(zip(pi._block_of, sigma._block_of, p.weights), pi.n_blocks, sigma.n_blocks)
 
 
 def entropy_profile(
@@ -201,8 +296,9 @@ def entropy_profile(
 
     ``method="closed"`` uses the block-probability closed forms, with the
     conditional and mutual parts obtained by subtraction.  ``"regions"``
-    computes each quantity as the product measure of its own ditset region
-    (union, differences, intersection) and is the oracle path.  ``"auto"``
+    is the oracle path: it takes the product measures of the disjoint ditset
+    regions (the two differences and the intersection) and sums each
+    quantity over its regions.  ``"auto"``
     (default) computes the closed forms and, when the ditsets are small
     enough to materialize, checks them against the region path.
     """
@@ -213,45 +309,24 @@ def entropy_profile(
         raise ValueError(f"unknown method {method!r}")
 
     if method in ("auto", "closed"):
-        h_pi = logical_entropy(pi, p)
-        h_sigma = logical_entropy(sigma, p)
-        cell_sq = 0
-        for bp in pi.blocks:
-            bset = set(bp)
-            for cs in sigma.blocks:
-                q = p.prob([x for x in cs if x in bset])
-                cell_sq += q * q
-        h_joint = 1 - cell_sq
-        closed = EntropyProfile(
-            h_pi=h_pi,
-            h_sigma=h_sigma,
-            h_joint=h_joint,
-            h_pi_given_sigma=h_joint - h_sigma,
-            h_sigma_given_pi=h_joint - h_pi,
-            mutual=h_pi + h_sigma - h_joint,
+        closed = _profile(
+            _logical, block_probabilities(pi, p), block_probabilities(sigma, p),
+            _point_table(pi, sigma, p),
         )
         if method == "closed" or pi.universe.size > DITSET_MATERIALIZE_BOUND:
             return closed
 
     dit_pi = ditset(pi)
     dit_sigma = ditset(sigma)
-    regions = EntropyProfile(
-        h_pi=product_measure(dit_pi, p),
-        h_sigma=product_measure(dit_sigma, p),
-        h_joint=product_measure(dit_pi.union(dit_sigma), p),
-        h_pi_given_sigma=product_measure(dit_pi.difference(dit_sigma), p),
-        h_sigma_given_pi=product_measure(dit_sigma.difference(dit_pi), p),
-        mutual=product_measure(dit_pi.intersection(dit_sigma), p),
-    )
+    # No region reads t[0][0], the pairs neither partition distinguishes.
+    regions = _regions(EntropyProfile, [
+        [None, product_measure(dit_sigma.difference(dit_pi), p)],
+        [product_measure(dit_pi.difference(dit_sigma), p),
+         product_measure(dit_pi.intersection(dit_sigma), p)],
+    ])
     if method == "regions":
         return regions
-    exact = p.is_exact
-    for name in ("h_pi", "h_sigma", "h_joint", "h_pi_given_sigma", "h_sigma_given_pi", "mutual"):
-        a, b = getattr(closed, name), getattr(regions, name)
-        if not _close(a, b, exact):
-            raise InternalInconsistency(
-                f"entropy profile: closed form and region measure disagree on {name}: {a} vs {b}"
-            )
+    _agree("entropy profile", closed, regions, p.is_exact, FLOAT_TOL)
     return closed
 
 
@@ -260,12 +335,7 @@ def shannon_entropy(pi: Partition, p: ProbDist) -> float:
 
     Blocks of probability zero contribute zero.
     """
-    h = 0.0
-    for q in block_probabilities(pi, p):
-        q = float(q)
-        if q > 0.0:
-            h -= q * math.log2(q)
-    return h
+    return _bits(block_probabilities(pi, p))
 
 
 def shannon_profile(pi: Partition, sigma: Partition, p: ProbDist) -> EntropyProfile:
@@ -276,16 +346,9 @@ def shannon_profile(pi: Partition, sigma: Partition, p: ProbDist) -> EntropyProf
     """
     if pi.universe != sigma.universe:
         raise UniverseMismatch("shannon profile needs partitions on one universe")
-    h_pi = shannon_entropy(pi, p)
-    h_sigma = shannon_entropy(sigma, p)
-    h_joint = shannon_entropy(join(pi, sigma), p)
-    return EntropyProfile(
-        h_pi=h_pi,
-        h_sigma=h_sigma,
-        h_joint=h_joint,
-        h_pi_given_sigma=h_joint - h_sigma,
-        h_sigma_given_pi=h_joint - h_pi,
-        mutual=h_pi + h_sigma - h_joint,
+    return _six(
+        EntropyProfile,
+        shannon_entropy(pi, p), shannon_entropy(sigma, p), shannon_entropy(join(pi, sigma), p),
     )
 
 
@@ -301,24 +364,9 @@ def shannon_profile_from_transform(pi: Partition, sigma: Partition, p: ProbDist)
     if pi.universe != sigma.universe:
         raise UniverseMismatch("shannon profile needs partitions on one universe")
     _check_dist(pi, p, "shannon profile")
-
-    def bits(q: float) -> float:
-        return -q * math.log2(q) if q > 0.0 else 0.0
-
-    sum_pi = sum(bits(float(q)) for q in block_probabilities(pi, p))
-    sum_sigma = sum(bits(float(q)) for q in block_probabilities(sigma, p))
-    sum_cells = 0.0
-    for bp in pi.blocks:
-        bset = set(bp)
-        for cs in sigma.blocks:
-            sum_cells += bits(float(p.prob([x for x in cs if x in bset])))
-    return EntropyProfile(
-        h_pi=sum_pi,
-        h_sigma=sum_sigma,
-        h_joint=sum_cells,
-        h_pi_given_sigma=sum_cells - sum_sigma,
-        h_sigma_given_pi=sum_cells - sum_pi,
-        mutual=sum_pi + sum_sigma - sum_cells,
+    return _profile(
+        _bits, block_probabilities(pi, p), block_probabilities(sigma, p),
+        _point_table(pi, sigma, p),
     )
 
 
@@ -373,81 +421,25 @@ def twoset_profile(
     if method not in ("auto", "closed", "regions"):
         raise ValueError(f"unknown method {method!r}")
 
-    closed = None
+    ids_a = [a for a in pi._block_of for _ in range(joint.y_size)]
+    ids_b = sigma._block_of * joint.x_size
+    weights = [w for row in joint.weights for w in row]
     if method in ("auto", "closed"):
-        # q[i][j] = probability of (pi-block i, sigma-block j)
-        q = [[0] * sigma.n_blocks for _ in range(pi.n_blocks)]
-        for x in range(joint.x_size):
-            bi = pi.block_containing(x)
-            row = joint.weights[x]
-            for y in range(joint.y_size):
-                q[bi][sigma.block_containing(y)] += row[y]
-        qx = [sum(row) for row in q]
-        qy = [sum(q[i][j] for i in range(pi.n_blocks)) for j in range(sigma.n_blocks)]
-        h_pi = 1 - sum(v * v for v in qx)
-        h_sigma = 1 - sum(v * v for v in qy)
-        h_joint = 1 - sum(v * v for row in q for v in row)
-        closed = EntropyProfile(
-            h_pi=h_pi,
-            h_sigma=h_sigma,
-            h_joint=h_joint,
-            h_pi_given_sigma=h_joint - h_sigma,
-            h_sigma_given_pi=h_joint - h_pi,
-            mutual=h_pi + h_sigma - h_joint,
-        )
-        if method == "closed":
-            return closed
-        if (joint.x_size * joint.y_size) ** 2 > 10 ** 6:
+        q = _block_table(zip(ids_a, ids_b, weights), pi.n_blocks, sigma.n_blocks)
+        closed = _profile(_logical, [_sum(row) for row in q], [_sum(col) for col in zip(*q)], q)
+        if method == "closed" or len(weights) ** 2 > REGION_ORACLE_BOUND:
             return closed
 
-    sums = {"pi": 0, "sigma": 0, "joint": 0, "pi_only": 0, "sigma_only": 0, "both": 0}
-    cells = [
-        (pi.block_containing(x), sigma.block_containing(y), joint.weights[x][y])
-        for x in range(joint.x_size)
-        for y in range(joint.y_size)
-    ]
-    for bi, cj, w in cells:
-        if not w:
-            continue
-        for bi2, cj2, w2 in cells:
-            m = w * w2
-            df = bi != bi2
-            dg = cj != cj2
-            if df:
-                sums["pi"] += m
-            if dg:
-                sums["sigma"] += m
-            if df or dg:
-                sums["joint"] += m
-            if df and not dg:
-                sums["pi_only"] += m
-            if dg and not df:
-                sums["sigma_only"] += m
-            if df and dg:
-                sums["both"] += m
-    regions = EntropyProfile(
-        h_pi=sums["pi"],
-        h_sigma=sums["sigma"],
-        h_joint=sums["joint"],
-        h_pi_given_sigma=sums["pi_only"],
-        h_sigma_given_pi=sums["sigma_only"],
-        mutual=sums["both"],
-    )
+    regions = _regions(EntropyProfile, _region_table(weights, ids_a, ids_b))
     if method == "regions":
         return regions
-    exact = joint.is_exact
-    for name in ("h_pi", "h_sigma", "h_joint", "h_pi_given_sigma", "h_sigma_given_pi", "mutual"):
-        a, b = getattr(closed, name), getattr(regions, name)
-        if not _close(a, b, exact):
-            raise InternalInconsistency(
-                f"two-set profile: closed form and double sum disagree on {name}: {a} vs {b}"
-            )
+    _agree("two-set profile", closed, regions, joint.is_exact, FLOAT_TOL)
     return closed
 
 
 def dist_entropy(p: ProbDist) -> Number:
     """Logical entropy of a distribution: two draws differ, ``1 - sum p_i^2``."""
-    return 1 - sum(w * w for w in p.weights)
+    return _logical(p.weights)
 
 
 def dist_cross_entropy(p: ProbDist, q: ProbDist) -> Number:
@@ -458,4 +450,4 @@ def dist_cross_entropy(p: ProbDist, q: ProbDist) -> Number:
     """
     if p.size != q.size:
         raise LengthMismatch(f"distributions have sizes {p.size} and {q.size}")
-    return 1 - sum(a * b for a, b in zip(p.weights, q.weights))
+    return 1 - _sum(a * b for a, b in zip(p.weights, q.weights))

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -256,61 +257,38 @@ def cmd_entropy(args) -> dict:
     inputs = {"pi": pi_digest}
     sigma = None
     if args.sigma is not None:
-        sigma, sigma_digest = _load_partition(args.sigma)
-        inputs["sigma"] = sigma_digest
+        sigma, inputs["sigma"] = _load_partition(args.sigma)
 
     if args.joint is not None:
-        joint, joint_digest = _load_joint(args.joint)
-        inputs["joint"] = joint_digest
-        report = _report("entropy", inputs)
-        prof = classical.twoset_profile(pi, sigma, joint)
-        q = report["quantities"]
-        q["h_pi"] = prof.h_pi
-        q["h_sigma"] = prof.h_sigma
-        q["h_joint"] = prof.h_joint
-        q["h_pi_given_sigma"] = prof.h_pi_given_sigma
-        q["h_sigma_given_pi"] = prof.h_sigma_given_pi
-        q["mutual"] = prof.mutual
-        chain = prof.h_joint - (prof.h_pi_given_sigma + prof.mutual + prof.h_sigma_given_pi)
-        venn = prof.mutual - (prof.h_pi + prof.h_sigma - prof.h_joint)
-        report["identities_checked"]["venn_chain"] = _identity(chain, classical.FLOAT_TOL)
-        report["identities_checked"]["venn_mutual"] = _identity(venn, classical.FLOAT_TOL)
-        return report
-
-    p, p_digest = _load_dist(args.p)
-    inputs["p"] = p_digest
+        joint, inputs["joint"] = _load_joint(args.joint)
+    else:
+        p, inputs["p"] = _load_dist(args.p)
     report = _report("entropy", inputs)
     q = report["quantities"]
     ids = report["identities_checked"]
-    if sigma is None:
+    if args.joint is not None:
+        prof = classical.twoset_profile(pi, sigma, joint)
+    elif sigma is None:
         h = classical.logical_entropy(pi, p)
         q["h_pi"] = h
         ids["unit_interval"] = _identity(max(0.0, float(-h), float(h - 1)), classical.FLOAT_TOL)
         if args.shannon:
             q["H_pi"] = classical.shannon_entropy(pi, p)
         return report
+    else:
+        prof = classical.entropy_profile(pi, sigma, p)
 
-    prof = classical.entropy_profile(pi, sigma, p)
-    q["h_pi"] = prof.h_pi
-    q["h_sigma"] = prof.h_sigma
-    q["h_joint"] = prof.h_joint
-    q["h_pi_given_sigma"] = prof.h_pi_given_sigma
-    q["h_sigma_given_pi"] = prof.h_sigma_given_pi
-    q["mutual"] = prof.mutual
-    q["hamming_distance"] = classical.hamming_distance(pi, sigma, p)
-    q["cross_entropy"] = classical.cross_entropy_partitions(pi, sigma, p)
+    q.update(asdict(prof))
+    if args.joint is None:
+        q["hamming_distance"] = classical.hamming_distance(pi, sigma, p)
+        q["cross_entropy"] = classical.cross_entropy_partitions(pi, sigma, p)
     chain = prof.h_joint - (prof.h_pi_given_sigma + prof.mutual + prof.h_sigma_given_pi)
     venn = prof.mutual - (prof.h_pi + prof.h_sigma - prof.h_joint)
     ids["venn_chain"] = _identity(chain, classical.FLOAT_TOL)
     ids["venn_mutual"] = _identity(venn, classical.FLOAT_TOL)
     if args.shannon:
         sprof = classical.shannon_profile(pi, sigma, p)
-        q["H_pi"] = sprof.h_pi
-        q["H_sigma"] = sprof.h_sigma
-        q["H_joint"] = sprof.h_joint
-        q["H_pi_given_sigma"] = sprof.h_pi_given_sigma
-        q["H_sigma_given_pi"] = sprof.h_sigma_given_pi
-        q["H_mutual"] = sprof.mutual
+        q.update(("H_" + k.removeprefix("h_"), v) for k, v in asdict(sprof).items())
         tprof = classical.shannon_profile_from_transform(pi, sigma, p)
         ids["shannon_transform"] = _identity(
             tprof.h_pi_given_sigma - sprof.h_pi_given_sigma, classical.FLOAT_TOL

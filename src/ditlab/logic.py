@@ -26,6 +26,7 @@ from typing import Mapping, Optional
 from .errors import (
     BoundExceeded,
     FormulaSyntaxError,
+    InternalInconsistency,
     UnboundVariable,
     UniverseMismatch,
 )
@@ -314,6 +315,9 @@ def check_tautology(
             if evaluate(f, env, u) != want:
                 # Defensive re-evaluation: a counterexample witness must
                 # reproduce a non-top value when evaluated again.
-                assert evaluate(f, env, u) != want
+                if evaluate(f, env, u) == want:
+                    raise InternalInconsistency(
+                        f"counterexample at n={n} evaluates to top when re-checked"
+                    )
                 return TautologyVerdict(VerdictStatus.COUNTEREXAMPLE, max_n, (n, env))
     return TautologyVerdict(VerdictStatus.TAUTOLOGY_UP_TO_BOUND, max_n)

@@ -21,8 +21,9 @@ for validation.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -271,14 +272,7 @@ class QuantumProfile:
 
 
 def _profile_from_classical(prof: classical.EntropyProfile) -> QuantumProfile:
-    return QuantumProfile(
-        h_f=float(prof.h_pi),
-        h_g=float(prof.h_sigma),
-        h_joint=float(prof.h_joint),
-        h_f_given_g=float(prof.h_pi_given_sigma),
-        h_g_given_f=float(prof.h_sigma_given_pi),
-        mutual=float(prof.mutual),
-    )
+    return QuantumProfile(*(float(getattr(prof, f.name)) for f in fields(prof)))
 
 
 def _joint_eigenbasis(F: Observable, G: Observable, commutation_tol: float):
@@ -380,6 +374,8 @@ def noncommuting_profile(
     return _profile_from_classical(prof)
 
 
+#: Names of the six distinction regions, in profile field order (as in
+#: ``classical._REGION_CELLS``).
 _REGIONS = ("f", "g", "joint", "f_only", "g_only", "mutual")
 
 
@@ -395,29 +391,14 @@ def qudit_region_tuples(F: Observable, G: Observable, region: str) -> list:
         raise ValueError(f"unknown region {region!r}; expected one of {_REGIONS}")
     if F.dim != G.dim:
         raise DimensionMismatch(f"observable dimensions {F.dim} and {G.dim} differ")
-    n = F.dim
-    fpart = F.eigenvalue_partition()
-    gpart = G.eigenvalue_partition()
-    fid = [fpart.block_containing(i) for i in range(n)]
-    gid = [gpart.block_containing(j) for j in range(n)]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for i2 in range(n):
-                for j2 in range(n):
-                    df = fid[i] != fid[i2]
-                    dg = gid[j] != gid[j2]
-                    keep = {
-                        "f": df,
-                        "g": dg,
-                        "joint": df or dg,
-                        "f_only": df and not dg,
-                        "g_only": dg and not df,
-                        "mutual": df and dg,
-                    }[region]
-                    if keep:
-                        out.append((i, j, i2, j2))
-    return out
+    cells = classical._REGION_CELLS[_REGIONS.index(region)]
+    fid = F.eigenvalue_partition()._block_of
+    gid = G.eigenvalue_partition()._block_of
+    return [
+        (i, j, i2, j2)
+        for i, j, i2, j2 in itertools.product(range(F.dim), repeat=4)
+        if (fid[i] != fid[i2], gid[j] != gid[j2]) in cells
+    ]
 
 
 def mutual_qudit_tuples(F: Observable, G: Observable) -> list:
@@ -462,14 +443,7 @@ def noncommuting_profile_dense(F: Observable, G: Observable, psi2) -> QuantumPro
         proj = w @ w.conj().T
         return float(np.real(np.trace(proj @ big)))
 
-    return QuantumProfile(
-        h_f=region_value("f"),
-        h_g=region_value("g"),
-        h_joint=region_value("joint"),
-        h_f_given_g=region_value("f_only"),
-        h_g_given_f=region_value("g_only"),
-        mutual=region_value("mutual"),
-    )
+    return QuantumProfile(*(region_value(region) for region in _REGIONS))
 
 
 def degeneracy_check(
@@ -513,41 +487,20 @@ def spectral_pair_bruteforce(lam: Sequence[float], mu: Sequence[float]) -> Quant
     """
     lam = [float(x) for x in lam]
     mu = [float(x) for x in mu]
-    sums = {"f": 0.0, "g": 0.0, "joint": 0.0, "f_only": 0.0, "g_only": 0.0, "mutual": 0.0}
-    for i, li in enumerate(lam):
-        for i2, li2 in enumerate(lam):
-            for j, mj in enumerate(mu):
-                for j2, mj2 in enumerate(mu):
-                    w = li * li2 * mj * mj2
-                    df = i != i2
-                    dg = j != j2
-                    if df:
-                        sums["f"] += w
-                    if dg:
-                        sums["g"] += w
-                    if df or dg:
-                        sums["joint"] += w
-                    if df and not dg:
-                        sums["f_only"] += w
-                    if dg and not df:
-                        sums["g_only"] += w
-                    if df and dg:
-                        sums["mutual"] += w
-    return QuantumProfile(
-        h_f=sums["f"],
-        h_g=sums["g"],
-        h_joint=sums["joint"],
-        h_f_given_g=sums["f_only"],
-        h_g_given_f=sums["g_only"],
-        mutual=sums["mutual"],
+    t = classical._region_table(
+        [li * mj for li in lam for mj in mu],
+        [i for i in range(len(lam)) for _ in mu],
+        list(range(len(mu))) * len(lam),
     )
+    return classical._regions(QuantumProfile, [[float(v) for v in row] for row in t])
 
 
 def density_pair_profile(rho, tau, tol: float = ROUTE_TOL) -> QuantumProfile:
     """Compound entropies of an independent pair of density matrices.
 
     With purities ``a = tr[rho^2]`` and ``b = tr[tau^2]`` the closed forms
-    are ``h_joint = 1 - ab``, ``h_f_given_g = (1 - a) b``,
+    are ``h_f = 1 - a``, ``h_g = 1 - b`` and ``h_joint = 1 - ab``; the
+    subtractions then give ``h_f_given_g = (1 - a) b``,
     ``h_g_given_f = a (1 - b)`` and ``mutual = (1 - a)(1 - b)``.  For
     small dimensions the spectral quadruple-sum oracle is run alongside and
     disagreement raises :class:`InternalInconsistency`.
@@ -558,23 +511,10 @@ def density_pair_profile(rho, tau, tol: float = ROUTE_TOL) -> QuantumProfile:
     mu = np.clip(np.linalg.eigvalsh((t + t.conj().T) / 2), 0.0, None)
     a = float(np.sum(lam ** 2))
     b = float(np.sum(mu ** 2))
-    prof = QuantumProfile(
-        h_f=1.0 - a,
-        h_g=1.0 - b,
-        h_joint=1.0 - a * b,
-        h_f_given_g=(1.0 - a) * b,
-        h_g_given_f=a * (1.0 - b),
-        mutual=(1.0 - a) * (1.0 - b),
-    )
-    if (len(lam) * len(mu)) ** 2 <= 10 ** 6:
+    prof = classical._six(QuantumProfile, 1.0 - a, 1.0 - b, 1.0 - a * b)
+    if (len(lam) * len(mu)) ** 2 <= classical.REGION_ORACLE_BOUND:
         brute = spectral_pair_bruteforce(lam, mu)
-        for name in ("h_f", "h_g", "h_joint", "h_f_given_g", "h_g_given_f", "mutual"):
-            x, y = getattr(prof, name), getattr(brute, name)
-            if abs(x - y) > tol:
-                raise InternalInconsistency(
-                    f"density pair profile: closed form and quadruple sum "
-                    f"disagree on {name}: {x!r} vs {y!r}"
-                )
+        classical._agree("density pair profile", prof, brute, False, tol)
     return prof
 
 
