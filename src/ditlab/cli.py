@@ -280,8 +280,8 @@ def cmd_entropy(args) -> dict:
 
     q.update(asdict(prof))
     if args.joint is None:
-        q["hamming_distance"] = classical.hamming_distance(pi, sigma, p)
-        q["cross_entropy"] = classical.cross_entropy_partitions(pi, sigma, p)
+        q["hamming_distance"] = prof.h_pi_given_sigma + prof.h_sigma_given_pi
+        q["cross_entropy"] = prof.h_joint
     chain = prof.h_joint - (prof.h_pi_given_sigma + prof.mutual + prof.h_sigma_given_pi)
     venn = prof.mutual - (prof.h_pi + prof.h_sigma - prof.h_joint)
     ids["venn_chain"] = _identity(chain, classical.FLOAT_TOL)
@@ -457,10 +457,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-    except InputSchemaError as exc:
-        print(f"ditlab: input error: {exc}", file=stderr)
-        return 2
-    except FormulaSyntaxError as exc:
+    except (InputSchemaError, FormulaSyntaxError) as exc:
         print(f"ditlab: input error: {exc}", file=stderr)
         return 2
     except BoundExceeded as exc:

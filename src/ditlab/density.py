@@ -25,9 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import Number, ProbDist, block_probabilities
+from .classical import Number, ProbDist, _bits, block_probabilities
 from .errors import (
     DimensionMismatch,
+    InvalidDensityMatrix,
     InvalidProjectorSet,
     InvalidStateVector,
     NotHermitian,
@@ -49,13 +50,17 @@ def _as_square_matrix(mat) -> np.ndarray:
 
 
 def validate_density(mat, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace and positive semidefiniteness.
+    """Check finite entries, Hermiticity, unit trace and positive semidefiniteness.
 
     Returns the matrix as complex128 on success; raises
+    :class:`InvalidDensityMatrix` for a non-finite entry, else
     :class:`NotHermitian`, :class:`TraceNotOne` or :class:`NotPSD`.
     """
     m = _as_square_matrix(mat)
     herm_gap = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    # A NaN or infinite entry leaves a NaN or an infinity in rho - rho^dagger.
+    if not math.isfinite(herm_gap):
+        raise InvalidDensityMatrix("matrix has a non-finite entry")
     if herm_gap > tol:
         raise NotHermitian(f"max |rho - rho^dagger| = {herm_gap:.3e} exceeds {tol}")
     tr = complex(np.trace(m))
@@ -68,10 +73,10 @@ def validate_density(mat, tol: float = DENSITY_TOL) -> np.ndarray:
 
 
 def validate_state(vec, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Check that a vector is normalized; returns it as complex128."""
+    """Check that a vector is finite and normalized; returns it as complex128."""
     v = np.asarray(vec).astype(np.complex128, copy=False).reshape(-1)
     norm_sq = float(np.sum(np.abs(v) ** 2))
-    if abs(norm_sq - 1) > tol:
+    if not abs(norm_sq - 1) <= tol:  # a NaN amplitude makes the norm NaN
         raise InvalidStateVector(f"squared norm is {norm_sq!r}, expected 1 within {tol}")
     return v
 
@@ -121,10 +126,21 @@ def rho_partition(pi: Partition, p: ProbDist) -> np.ndarray:
     return m
 
 
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """``Re tr[a b]``."""
+    return float(np.real(np.trace(a @ b)))
+
+
+def _entropy(m: np.ndarray, tol: float = DENSITY_TOL) -> float:
+    """``1 - tr[m^2]`` of a matrix known to be a density matrix; 0.0 when pure within ``tol``."""
+    val = 1.0 - _trace_product(m, m)
+    return 0.0 if abs(val) <= tol else val
+
+
 def purity(rho, tol: float = DENSITY_TOL) -> float:
     """``tr[rho^2]``, equal to the sum of squared entry magnitudes."""
     m = validate_density(rho, tol)
-    return float(np.real(np.trace(m @ m)))
+    return _trace_product(m, m)
 
 
 def dm_logical_entropy(rho, tol: float = DENSITY_TOL) -> float:
@@ -134,10 +150,7 @@ def dm_logical_entropy(rho, tol: float = DENSITY_TOL) -> float:
     (``tr[rho^2]`` within ``tol`` of one), so pure states have entropy zero
     rather than a stray rounding residue.
     """
-    val = 1.0 - purity(rho, tol)
-    if abs(val) <= tol:
-        return 0.0
-    return val
+    return _entropy(validate_density(rho, tol), tol)
 
 
 def validate_projectors(projs, tol: float = DENSITY_TOL) -> list:
@@ -230,13 +243,7 @@ def von_neumann(rho, tol: float = DENSITY_TOL) -> float:
     """
     m = validate_density(rho, tol)
     evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    evals = np.clip(evals, 0.0, 1.0)
-    out = 0.0
-    for lam in evals:
-        lam = float(lam)
-        if lam > 0.0:
-            out -= lam * math.log2(lam)
-    return out
+    return _bits(np.clip(evals, 0.0, 1.0))
 
 
 # ------------------------------------------------------- exact side channel

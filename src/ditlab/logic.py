@@ -309,7 +309,8 @@ def check_tautology(
     for n in range(2, max_n + 1):
         u = Universe(n)
         want = top(u)
-        parts = list(enumerate_partitions(u))
+        # Enumerate up to max_n itself: the work limit is the only bound.
+        parts = list(enumerate_partitions(u, max_n)) if names else []
         for combo in itertools.product(parts, repeat=len(names)):
             env = dict(zip(names, combo))
             if evaluate(f, env, u) != want:

@@ -11,7 +11,14 @@ simultaneously
 * the post-measurement mixed-state entropy ``1 - tr[rho'^2]``,
 
 and :func:`h_observable_state` computes all three routes and insists they
-agree.  The two-observable quantities (commuting and not), the spectral
+agree; the pair route is the classical region oracle on ``p``.
+Measurement follows the fundamental theorem: measuring ``F`` decoheres
+exactly its qudits, the eigenvector pairs with different eigenvalues.  So
+:func:`measure` masks in the eigenbasis, ``rho' = U (M o a a^dagger)
+U^dagger`` with ``a = U^dagger psi`` and ``M[j, k] = 1`` iff ``j`` and
+``k`` share an eigenvalue class.
+
+The two-observable quantities (commuting and not), the spectral
 pair profile for two density matrices, the cross entropy ``1 - tr[rho tau]``
 and the Hamming distance (which coincides with the squared Hilbert-Schmidt
 norm of the difference) follow the same pattern: a combinatorial index-set
@@ -50,10 +57,6 @@ ROUTE_TOL = 1e-10
 COMMUTATION_TOL = 1e-8
 
 
-def _is_exact_number(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A Hermitian observable given by eigenvalues and an eigenbasis.
@@ -75,10 +78,11 @@ class Observable:
                 if v.imag != 0:
                     raise InvalidObservable(f"eigenvalue {v!r} is not a real number")
                 v = v.real
-            if _is_exact_number(v):
-                vals.append(v)
-            else:
-                vals.append(float(v))
+            if not classical._is_exact(v):
+                v = float(v)
+                if not math.isfinite(v):
+                    raise InvalidObservable(f"eigenvalue {v!r} is not finite")
+            vals.append(v)
         object.__setattr__(self, "eigenvalues", tuple(vals))
         if not vals:
             raise InvalidObservable("an observable needs at least one eigenvalue")
@@ -90,6 +94,8 @@ class Observable:
                 raise DimensionMismatch(
                     f"{len(vals)} eigenvalues but a {b.shape[0]}-dimensional basis"
                 )
+            if not np.all(np.isfinite(b)):
+                raise InvalidObservable("eigenbasis has a non-finite entry")
             gap = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
             if gap > ROUTE_TOL:
                 raise InvalidObservable(
@@ -132,7 +138,7 @@ class Observable:
         a class.
         """
         n = self.dim
-        if all(_is_exact_number(v) for v in self.eigenvalues):
+        if all(classical._is_exact(v) for v in self.eigenvalues):
             groups = {}
             for j, v in enumerate(self.eigenvalues):
                 groups.setdefault(Fraction(v), []).append(j)
@@ -162,14 +168,18 @@ def qudit_pairs(F: Observable) -> PairSet:
     return ditset(F.eigenvalue_partition())
 
 
+def _state(psi, dim: int, basis=None) -> np.ndarray:
+    """The validated unit vector of dimension ``dim``, or its amplitudes ``basis^dagger psi``."""
+    v = density.validate_state(psi)
+    if v.shape[0] != dim:
+        raise DimensionMismatch(f"state dimension {v.shape[0]}, expected {dim}")
+    v = v / np.linalg.norm(v)
+    return v if basis is None else basis.conj().T @ v
+
+
 def state_probabilities(F: Observable, psi) -> np.ndarray:
     """Outcome weights ``p_j = |<u_j|psi>|^2`` in the observable's eigenbasis."""
-    v = density.validate_state(psi)
-    if v.shape[0] != F.dim:
-        raise DimensionMismatch(f"state dimension {v.shape[0]}, observable dimension {F.dim}")
-    v = v / np.linalg.norm(v)
-    amps = F.basis_matrix().conj().T @ v
-    return np.abs(amps) ** 2
+    return np.abs(_state(psi, F.dim, F.basis_matrix())) ** 2
 
 
 @dataclass(frozen=True)
@@ -189,27 +199,21 @@ def h_observable_state(F: Observable, psi, tol: float = ROUTE_TOL) -> Observable
     """Quantum logical entropy of measuring ``F`` on ``psi``.
 
     Computed three ways: the double sum of ``p_j p_k`` over distinguished
-    index pairs, the classical logical entropy of the eigenvalue partition
-    under ``p``, and the post-measurement entropy ``1 - tr[rho'^2]``.
-    Raises :class:`InternalInconsistency` if any two routes disagree beyond
+    index pairs (the classical region oracle), the classical logical
+    entropy of the eigenvalue partition under ``p``, and the
+    post-measurement entropy ``1 - tr[rho'^2]``.  Raises
+    :class:`InternalInconsistency` if any two routes disagree beyond
     ``tol``.
     """
-    p = state_probabilities(F, psi)
+    amp = _state(psi, F.dim, F.basis_matrix())
+    p = np.abs(amp) ** 2
     part = F.eigenvalue_partition()
-    ids = [part.block_containing(j) for j in range(F.dim)]
-
-    via_pairs = 0.0
-    for j in range(F.dim):
-        for k in range(F.dim):
-            if ids[j] != ids[k]:
-                via_pairs += float(p[j]) * float(p[k])
-
+    # With one block on the second side, t[1][0] sums p_j p_k over the qudits.
+    via_pairs = float(classical._region_table(p, part._block_of, [0] * F.dim)[1][0])
     via_partition = float(
         classical.logical_entropy(part, ProbDist(tuple(float(x) for x in p / p.sum())))
     )
-
-    rho_after = measure(F, psi)
-    via_measurement = density.dm_logical_entropy(rho_after)
+    via_measurement = density._entropy(_mask(F, part, amp))
 
     for a, b in ((via_pairs, via_partition), (via_pairs, via_measurement), (via_partition, via_measurement)):
         if abs(a - b) > tol:
@@ -220,14 +224,22 @@ def h_observable_state(F: Observable, psi, tol: float = ROUTE_TOL) -> Observable
     return ObservableStateEntropy(via_pairs, via_pairs, via_partition, via_measurement)
 
 
+def _mask(F: Observable, part: Partition, a: np.ndarray) -> np.ndarray:
+    """``U (M o a a^dagger) U^dagger``, ``M[j, k] = 1`` iff ``j``, ``k`` share a block of ``part``."""
+    ids = np.array(part._block_of)
+    u = F.basis_matrix()
+    out = u @ ((ids[:, None] == ids) * np.outer(a, a.conj())) @ u.conj().T
+    return (out + out.conj().T) / 2
+
+
 def measure(F: Observable, psi) -> np.ndarray:
-    """Lüders mixture of ``|psi><psi|`` over the eigenspace projectors of ``F``."""
-    v = density.validate_state(psi)
-    if v.shape[0] != F.dim:
-        raise DimensionMismatch(f"state dimension {v.shape[0]}, observable dimension {F.dim}")
-    v = v / np.linalg.norm(v)
-    projs = density.projectors_from_eigenbasis(F.basis_matrix(), F.eigenvalue_partition())
-    return density.luders(np.outer(v, v.conj()), projs)
+    """Lüders mixture of ``|psi><psi|`` over the eigenspace projectors of ``F``.
+
+    Computed as the qudit mask in the eigenbasis: the entries of
+    ``|psi><psi|`` on pairs of eigenvectors with different eigenvalues are
+    zeroed, the rest kept.
+    """
+    return _mask(F, F.eigenvalue_partition(), _state(psi, F.dim, F.basis_matrix()))
 
 
 @dataclass(frozen=True)
@@ -248,11 +260,10 @@ def quantum_fundamental_check(F: Observable, psi) -> FundamentalCheck:
     The two numbers are computed independently (trace of the square vs
     entrywise sums) and coincide up to rounding.
     """
-    v = density.validate_state(psi)
-    v = v / np.linalg.norm(v)
+    v = _state(psi, F.dim)
     rho_before = np.outer(v, v.conj())
     rho_after = measure(F, v)
-    increase = density.dm_logical_entropy(rho_after) - density.dm_logical_entropy(rho_before)
+    increase = density._entropy(rho_after) - density._entropy(rho_before)
     lost = density.decohered_sumsq(rho_before, rho_after)
     return FundamentalCheck(entropy_increase=increase, decohered_sumsq=lost)
 
@@ -329,11 +340,7 @@ def commuting_profile(
     under the shared outcome distribution.
     """
     basis, f_vals, g_vals = _joint_eigenbasis(F, G, commutation_tol)
-    v = density.validate_state(psi)
-    if v.shape[0] != F.dim:
-        raise DimensionMismatch(f"state dimension {v.shape[0]}, observable dimension {F.dim}")
-    v = v / np.linalg.norm(v)
-    p = np.abs(basis.conj().T @ v) ** 2
+    p = np.abs(_state(psi, F.dim, basis)) ** 2
     pi_f = Observable(tuple(f_vals)).eigenvalue_partition()
     pi_g = Observable(tuple(g_vals)).eigenvalue_partition()
     dist = ProbDist(tuple(float(x) for x in p / p.sum()))
@@ -358,12 +365,7 @@ def noncommuting_profile(
     if F.dim != G.dim:
         raise DimensionMismatch(f"observable dimensions {F.dim} and {G.dim} differ")
     n = F.dim
-    v = density.validate_state(psi2)
-    if v.shape[0] != n * n:
-        raise DimensionMismatch(
-            f"doubled state has dimension {v.shape[0]}, expected {n * n}"
-        )
-    v = v / np.linalg.norm(v)
+    v = _state(psi2, n * n)
     amp = F.basis_matrix().conj().T @ v.reshape(n, n) @ G.basis_matrix().conj()
     p = np.abs(amp) ** 2
     p = p / p.sum()
@@ -420,12 +422,7 @@ def noncommuting_profile_dense(F: Observable, G: Observable, psi2) -> QuantumPro
     n = F.dim
     if n > 4:
         raise BoundExceeded(f"dense oracle materializes {n ** 4}^2 entries; limit is dim 4")
-    v = density.validate_state(psi2)
-    if v.shape[0] != n * n:
-        raise DimensionMismatch(
-            f"doubled state has dimension {v.shape[0]}, expected {n * n}"
-        )
-    v = v / np.linalg.norm(v)
+    v = _state(psi2, n * n)
     rho = np.outer(v, v.conj())
     big = np.kron(rho, rho)
     x = F.basis_matrix()
@@ -460,7 +457,7 @@ def degeneracy_check(
     """
     fv = F.class_values(tol)
     gv = G.class_values(tol)
-    exact = all(_is_exact_number(v) for v in fv + gv)
+    exact = all(classical._is_exact(v) for v in fv + gv)
     out = []
     cells = [(i, j) for i in range(len(fv)) for j in range(len(gv))]
     for a in range(len(cells)):
@@ -518,6 +515,15 @@ def density_pair_profile(rho, tau, tol: float = ROUTE_TOL) -> QuantumProfile:
     return prof
 
 
+def _density_pair(rho, tau) -> tuple:
+    """The density-pair prologue: validate both matrices, check they share a shape."""
+    r = density.validate_density(rho)
+    t = density.validate_density(tau)
+    if r.shape != t.shape:
+        raise DimensionMismatch(f"shapes {r.shape} and {t.shape} differ")
+    return r, t
+
+
 def quantum_cross_entropy(rho, tau, tol: float = ROUTE_TOL) -> float:
     """``1 - tr[rho tau]``: two draws, one from each matrix, distinguished.
 
@@ -525,11 +531,8 @@ def quantum_cross_entropy(rho, tau, tol: float = ROUTE_TOL) -> float:
     is cross-checked against its eigenbasis overlap expansion
     ``sum_ij lambda_i mu_j |<u_i|v_j>|^2``.
     """
-    r = density.validate_density(rho)
-    t = density.validate_density(tau)
-    if r.shape != t.shape:
-        raise DimensionMismatch(f"shapes {r.shape} and {t.shape} differ")
-    overlap = float(np.real(np.trace(r @ t)))
+    r, t = _density_pair(rho, tau)
+    overlap = density._trace_product(r, t)
     lam, u = np.linalg.eigh((r + r.conj().T) / 2)
     mu, v = np.linalg.eigh((t + t.conj().T) / 2)
     gram = np.abs(u.conj().T @ v) ** 2
@@ -543,12 +546,8 @@ def quantum_cross_entropy(rho, tau, tol: float = ROUTE_TOL) -> float:
 
 def hilbert_schmidt_distance(rho, tau) -> float:
     """``tr[(rho - tau)^2]``, the squared Hilbert-Schmidt norm of the gap."""
-    r = density.validate_density(rho)
-    t = density.validate_density(tau)
-    if r.shape != t.shape:
-        raise DimensionMismatch(f"shapes {r.shape} and {t.shape} differ")
-    d = r - t
-    return float(np.real(np.trace(d @ d)))
+    r, t = _density_pair(rho, tau)
+    return density._trace_product(r - t, r - t)
 
 
 def quantum_hamming(rho, tau, tol: float = 1e-12) -> float:
@@ -558,15 +557,10 @@ def quantum_hamming(rho, tau, tol: float = 1e-12) -> float:
     which is asserted within ``tol``; nonnegative, and zero exactly when
     the two matrices coincide.
     """
-    r = density.validate_density(rho)
-    t = density.validate_density(tau)
-    if r.shape != t.shape:
-        raise DimensionMismatch(f"shapes {r.shape} and {t.shape} differ")
-    a = float(np.real(np.trace(r @ r)))
-    b = float(np.real(np.trace(t @ t)))
-    c = float(np.real(np.trace(r @ t)))
-    d = a + b - 2.0 * c
-    hs = hilbert_schmidt_distance(r, t)
+    r, t = _density_pair(rho, tau)
+    tr = density._trace_product
+    d = tr(r, r) + tr(t, t) - 2.0 * tr(r, t)
+    hs = tr(r - t, r - t)
     if abs(d - hs) > tol:
         raise InternalInconsistency(
             f"distance forms disagree: trace form {d!r}, Hilbert-Schmidt {hs!r}"

@@ -196,6 +196,13 @@ def test_tautology_work_limit_exit(monkeypatch):
     assert "work limit" in err
 
 
+def test_tautology_without_variables_is_bounded_by_work_only():
+    code, out, err = run(["tautology", "--expr", "1", "--max-n", "10"])
+    assert (code, err) == (0, "")
+    q = json.loads(out)["quantities"]
+    assert q["status"] == "tautology_up_to_bound" and q["planned_evaluations"] == 9
+
+
 def test_tautology_work_limit_env_must_be_integer(monkeypatch):
     monkeypatch.setenv(cli.WORK_LIMIT_ENV, "lots")
     code, _, err = run(["tautology", "--expr", "p -> p"])
@@ -252,6 +259,24 @@ def test_measure_argument_errors(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_measure_rejects_non_finite_documents(tmp_path, bad):
+    good_s = {"kind": "state", "amplitudes": [[0.6, 0.0], [0.8, 0.0]]}
+    good_o = {"kind": "observable", "eigenvalues": [1, 0]}
+    bad_docs = [
+        ({"kind": "state", "amplitudes": [[bad, 0.0], [0.8, 0.0]]}, good_o),
+        ({"kind": "state", "amplitudes": [[0.6, 0.0], [0.8, bad]]}, good_o),
+        (good_s, {"kind": "observable", "eigenvalues": [bad, 0]}),
+        (good_s, {"kind": "observable", "eigenvalues": [1, 0],
+                  "eigenbasis": [[[1, 0], [0, 0]], [[0, 0], [bad, 0]]]}),
+    ]
+    for state, obs in bad_docs:
+        s_f = write_doc(tmp_path, "s.json", state)
+        o_f = write_doc(tmp_path, "o.json", obs)
+        code, out, err = run(["measure", "--state", s_f, "--observable", o_f])
+        assert (code, out) == (3, "") and "invariant violation" in err
+
+
 # ----------------------------------------------------------- distance command
 
 def _density_doc(mat):
@@ -284,6 +309,18 @@ def test_distance_rejects_non_density(tmp_path):
     t_f = write_doc(tmp_path, "t.json", _density_doc(np.eye(2) / 2))
     code, out, err = run(["distance", "--rho", r_f, "--tau", t_f])
     assert code == 3 and "invariant violation" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_distance_rejects_non_finite_entries(tmp_path, bad):
+    rho = np.eye(2) / 2
+    r_f = write_doc(tmp_path, "r.json", _density_doc(rho))
+    doc = _density_doc(rho)
+    doc["matrix"][0][1] = doc["matrix"][1][0] = [bad, 0.0]
+    t_f = write_doc(tmp_path, "t.json", doc)
+    for argv in (["--rho", r_f, "--tau", t_f], ["--rho", t_f, "--tau", r_f]):
+        code, out, err = run(["distance", *argv])
+        assert (code, out) == (3, "") and "invariant violation" in err
 
 
 # ------------------------------------------------------- output format, misc

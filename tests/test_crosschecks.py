@@ -5,15 +5,17 @@ from __future__ import annotations
 from dataclasses import astuple
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditlab import logic
+import helpers
+from ditlab import density, logic
 from ditlab.classical import JointDist, ProbDist, entropy_profile, twoset_profile
 from ditlab.errors import InternalInconsistency
 from ditlab.partitions import make_partition, top
-from ditlab.quantum import spectral_pair_bruteforce
+from ditlab.quantum import Observable, measure, spectral_pair_bruteforce
 
 
 def _partition(labels):
@@ -59,6 +61,25 @@ def test_spectral_oracle_equals_top_top_two_set_regions(lam, mu):
     table = twoset_profile(top(len(lam)), top(len(mu)), joint, "regions")
     for a, b in zip(astuple(brute), astuple(table)):
         assert abs(a - b) <= 1e-12
+
+
+@st.composite
+def measurements(draw):
+    n = draw(st.integers(1, 8))
+    # Few distinct labels, so most draws have degenerate eigenvalue classes.
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = helpers.random_unitary(rng, n)
+    return Observable(tuple(labels), u), u, helpers.random_state(rng, n)
+
+
+@given(measurements())
+@settings(max_examples=80, deadline=None)
+def test_qudit_mask_equals_luders_over_eigenspace_projectors(case):
+    F, u, psi = case
+    projs = density.projectors_from_eigenbasis(u, F.eigenvalue_partition())
+    reference = density.luders(np.outer(psi, psi.conj()), projs)
+    assert np.max(np.abs(measure(F, psi) - reference)) <= 1e-12
 
 
 def test_witness_recheck_raises_when_reevaluation_disagrees(monkeypatch):

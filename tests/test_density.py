@@ -28,6 +28,7 @@ from ditlab.density import (
 )
 from ditlab.errors import (
     DimensionMismatch,
+    InvalidDensityMatrix,
     InvalidProjectorSet,
     InvalidStateVector,
     NotHermitian,
@@ -55,6 +56,18 @@ def test_validate_density_accepts_and_rejects():
         validate_density(np.diag([1.5, -0.5]))
     with pytest.raises(DimensionMismatch):
         validate_density(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validators_reject_non_finite_entries(bad):
+    m = np.eye(2) / 2
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(InvalidDensityMatrix):
+        validate_density(m)
+    with pytest.raises(InvalidStateVector):
+        validate_state([bad, 0.0])
+    with pytest.raises(InvalidStateVector):
+        validate_state([1.0, complex(0.0, bad)])
 
 
 def test_validate_state():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ditlab import logic
 from ditlab.errors import (
     BoundExceeded,
     FormulaSyntaxError,
@@ -192,6 +193,21 @@ def test_planned_evaluations_and_work_limit():
 def test_zero_variable_formulas_scan_all_sizes():
     assert planned_evaluations(parse("1"), 5) == 4
     assert check_tautology(parse("1"), 5).is_tautology_up_to_bound
+
+
+def test_work_limit_is_the_only_bound_on_the_search(monkeypatch):
+    f = parse("1")
+    real = logic.evaluate
+    calls = []
+
+    def counting(g, env, universe):
+        if g is f:
+            calls.append(universe)
+        return real(g, env, universe)
+
+    monkeypatch.setattr(logic, "evaluate", counting)
+    assert check_tautology(f, 10).is_tautology_up_to_bound
+    assert len(calls) == planned_evaluations(f, 10) == 9
 
 
 def test_max_n_below_two_rejected():

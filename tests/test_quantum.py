@@ -15,6 +15,7 @@ from ditlab.errors import (
     BoundExceeded,
     DimensionMismatch,
     InvalidObservable,
+    InvalidStateVector,
     NotCommuting,
 )
 from ditlab.partitions import ditset, make_partition, top
@@ -58,6 +59,18 @@ def test_observable_validation():
         Observable((1, 2), np.eye(3))
     with pytest.raises(InvalidObservable):
         Observable((1, 2), np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_observable_and_state_reject_non_finite_numbers(bad):
+    with pytest.raises(InvalidObservable):
+        Observable((bad, 0.0))
+    with pytest.raises(InvalidObservable):
+        Observable((1, 0), np.array([[1, 0], [0, bad]], dtype=complex))
+    F = Observable((1, 0))
+    for f in (measure, h_observable_state, quantum_fundamental_check):
+        with pytest.raises(InvalidStateVector):
+            f(F, np.array([bad, 0.0]))
 
 
 def test_observable_from_matrix_roundtrip():
