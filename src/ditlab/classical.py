@@ -23,7 +23,7 @@ distinguish the pair; each quantity is a region of it (``_REGION_CELLS``).
 
 Arithmetic is exact when the weights are :class:`fractions.Fraction` (or
 int) valued; with float weights the same code runs in floating point and
-comparisons use a 1e-12 tolerance.
+comparisons allow ``FLOAT_TOL``.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class ProbDist:
     """A probability distribution on ``{0, ..., n-1}``.
 
     Weights may be Fractions/ints (exact backend) or floats.  They must be
-    nonnegative and sum to one (exactly in the exact backend, within 1e-12
-    otherwise).
+    nonnegative and sum to one (exactly in the exact backend, within
+    ``FLOAT_TOL`` otherwise).
     """
 
     weights: tuple
@@ -133,19 +133,9 @@ class JointDist:
         object.__setattr__(self, "weights", rows)
         if not rows or not rows[0]:
             raise InvalidDistribution("a joint distribution needs at least one cell")
-        width = len(rows[0])
-        for r in rows:
-            if len(r) != width:
-                raise LengthMismatch("joint distribution rows have unequal length")
-            for x in r:
-                if x < 0:
-                    raise InvalidDistribution(f"negative weight {x}")
-        total = sum(sum(r) for r in rows)
-        if self.is_exact:
-            if total != 1:
-                raise InvalidDistribution(f"weights sum to {total}, expected 1")
-        elif abs(total - 1) > FLOAT_TOL:
-            raise InvalidDistribution(f"weights sum to {total!r}, expected 1 within {FLOAT_TOL}")
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise LengthMismatch("joint distribution rows have unequal length")
+        ProbDist(tuple(x for r in rows for x in r))
 
     @property
     def x_size(self) -> int:

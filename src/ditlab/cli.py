@@ -55,7 +55,7 @@ def _load_document(path: str, expected_kind: str):
     raw = _read_file(path)
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer too long to convert
         raise InputSchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise InputSchemaError(f"{path}: expected a JSON object")
@@ -87,15 +87,20 @@ def _parse_number(x, path):
     raise InputSchemaError(f"{path}: expected a number, got {type(x).__name__}")
 
 
-def _parse_complex(x, path):
-    if not (isinstance(x, list) and len(x) == 2):
-        raise InputSchemaError(f"{path}: complex entries must be [re, im] pairs")
-    re, im = x
-    if isinstance(re, bool) or isinstance(im, bool):
-        raise InputSchemaError(f"{path}: complex entries must be [re, im] pairs of numbers")
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-        raise InputSchemaError(f"{path}: complex entries must be [re, im] pairs of numbers")
-    return complex(re, im)
+def _complex_array(value, ndim: int, path: str) -> np.ndarray:
+    """A JSON array nested ``ndim`` deep in ``[re, im]`` pairs of numbers, as complex128.
+
+    An empty array keeps its shape, so the validators reject it.
+    """
+    a = np.array(value, dtype=object)
+    if a.size == 0 and 1 <= a.ndim <= ndim:
+        return np.zeros(a.shape, dtype=np.complex128)
+    if a.ndim != ndim + 1 or a.shape[-1] != 2 or not set(map(type, a.flat)) <= {int, float}:
+        raise InputSchemaError(f"{path}: expected a {ndim}-deep array of [re, im] pairs of numbers")
+    try:
+        return a.astype(np.float64).view(np.complex128)[..., 0]
+    except OverflowError as exc:
+        raise InputSchemaError(f"{path}: {exc}") from exc
 
 
 def _load_partition(path: str):
@@ -140,11 +145,7 @@ def _load_formula(path: str):
 
 def _load_state(path: str):
     doc, digest = _load_document(path, "state")
-    amps = _require(doc, "amplitudes", path)
-    if not isinstance(amps, list):
-        raise InputSchemaError(f"{path}: field 'amplitudes' must be a list")
-    vec = np.array([_parse_complex(a, path) for a in amps], dtype=np.complex128)
-    return vec, digest
+    return _complex_array(_require(doc, "amplitudes", path), 1, path), digest
 
 
 def _load_observable(path: str):
@@ -154,23 +155,14 @@ def _load_observable(path: str):
         raise InputSchemaError(f"{path}: field 'eigenvalues' must be a list")
     vals = tuple(_parse_number(v, path) for v in eigenvalues)
     basis = None
-    if "eigenbasis" in doc and doc["eigenbasis"] is not None:
-        rows = doc["eigenbasis"]
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise InputSchemaError(f"{path}: field 'eigenbasis' must be a matrix")
-        basis = np.array(
-            [[_parse_complex(e, path) for e in r] for r in rows], dtype=np.complex128
-        )
+    if doc.get("eigenbasis") is not None:
+        basis = _complex_array(doc["eigenbasis"], 2, path)
     return Observable(vals, basis), digest
 
 
 def _load_density(path: str):
     doc, digest = _load_document(path, "density")
-    rows = _require(doc, "matrix", path)
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise InputSchemaError(f"{path}: field 'matrix' must be a matrix")
-    mat = np.array([[_parse_complex(e, path) for e in r] for r in rows], dtype=np.complex128)
-    return mat, digest
+    return _complex_array(_require(doc, "matrix", path), 2, path), digest
 
 
 # ------------------------------------------------------------------ emission
@@ -399,11 +391,11 @@ def cmd_distance(args) -> dict:
     hs = quantum.hilbert_schmidt_distance(rho, tau)
     q["hilbert_schmidt"] = hs
     ids = report["identities_checked"]
-    ids["hamming_equals_hilbert_schmidt"] = _identity(d - hs, 1e-12)
+    ids["hamming_equals_hilbert_schmidt"] = _identity(d - hs, classical.FLOAT_TOL)
     ids["cross_entropy_symmetric"] = _identity(
-        cross - quantum.quantum_cross_entropy(tau, rho), 1e-12
+        cross - quantum.quantum_cross_entropy(tau, rho), classical.FLOAT_TOL
     )
-    ids["nonnegative"] = _identity(max(0.0, -d), 1e-12)
+    ids["nonnegative"] = _identity(max(0.0, -d), classical.FLOAT_TOL)
     return report
 
 

@@ -49,35 +49,39 @@ def _as_square_matrix(mat) -> np.ndarray:
     return m.astype(np.complex128, copy=False)
 
 
-def validate_density(mat, tol: float = DENSITY_TOL) -> np.ndarray:
+def validate_density(mat) -> np.ndarray:
     """Check finite entries, Hermiticity, unit trace and positive semidefiniteness.
 
-    Returns the matrix as complex128 on success; raises
-    :class:`InvalidDensityMatrix` for a non-finite entry, else
-    :class:`NotHermitian`, :class:`TraceNotOne` or :class:`NotPSD`.
+    Each test allows ``DENSITY_TOL``.  Returns the matrix as complex128 on
+    success; raises :class:`InvalidDensityMatrix` for a non-finite entry,
+    else :class:`NotHermitian`, :class:`TraceNotOne` or :class:`NotPSD`.
     """
     m = _as_square_matrix(mat)
-    herm_gap = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    # A NaN or infinite entry leaves a NaN or an infinity in rho - rho^dagger.
-    if not math.isfinite(herm_gap):
-        raise InvalidDensityMatrix("matrix has a non-finite entry")
-    if herm_gap > tol:
-        raise NotHermitian(f"max |rho - rho^dagger| = {herm_gap:.3e} exceeds {tol}")
-    tr = complex(np.trace(m))
-    if abs(tr - 1) > tol:
-        raise TraceNotOne(f"trace is {tr}, expected 1 within {tol}")
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if float(evals.min()) < -tol:
-        raise NotPSD(f"minimum eigenvalue {float(evals.min()):.3e} is below -{tol}")
+    # Non-finite or huge entries overflow to inf or NaN below, and each check
+    # rejects those; numpy's warnings about them would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A NaN or infinite entry leaves a NaN or an infinity in rho - rho^dagger.
+        herm_gap = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        if not math.isfinite(herm_gap):
+            raise InvalidDensityMatrix("matrix has a non-finite entry")
+        if herm_gap > DENSITY_TOL:
+            raise NotHermitian(f"max |rho - rho^dagger| = {herm_gap:.3e} exceeds {DENSITY_TOL}")
+        tr = complex(np.trace(m))
+        if abs(tr - 1) > DENSITY_TOL:
+            raise TraceNotOne(f"trace is {tr}, expected 1 within {DENSITY_TOL}")
+        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+    if not low >= -DENSITY_TOL:  # NaN when a huge entry overflowed
+        raise NotPSD(f"minimum eigenvalue {low:.3e} is below -{DENSITY_TOL}")
     return m
 
 
-def validate_state(vec, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Check that a vector is finite and normalized; returns it as complex128."""
+def validate_state(vec) -> np.ndarray:
+    """Check that a vector is finite with unit norm within ``DENSITY_TOL``; returns complex128."""
     v = np.asarray(vec).astype(np.complex128, copy=False).reshape(-1)
-    norm_sq = float(np.sum(np.abs(v) ** 2))
-    if not abs(norm_sq - 1) <= tol:  # a NaN amplitude makes the norm NaN
-        raise InvalidStateVector(f"squared norm is {norm_sq!r}, expected 1 within {tol}")
+    with np.errstate(over="ignore"):  # a huge amplitude makes the norm inf, rejected below
+        norm_sq = float(np.sum(np.abs(v) ** 2))
+    if not abs(norm_sq - 1) <= DENSITY_TOL:  # a NaN amplitude makes the norm NaN
+        raise InvalidStateVector(f"squared norm is {norm_sq!r}, expected 1 within {DENSITY_TOL}")
     return v
 
 
@@ -131,30 +135,30 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.trace(a @ b)))
 
 
-def _entropy(m: np.ndarray, tol: float = DENSITY_TOL) -> float:
-    """``1 - tr[m^2]`` of a matrix known to be a density matrix; 0.0 when pure within ``tol``."""
+def _entropy(m: np.ndarray) -> float:
+    """``1 - tr[m^2]`` of a known density matrix; 0.0 when pure within ``DENSITY_TOL``."""
     val = 1.0 - _trace_product(m, m)
-    return 0.0 if abs(val) <= tol else val
+    return 0.0 if abs(val) <= DENSITY_TOL else val
 
 
-def purity(rho, tol: float = DENSITY_TOL) -> float:
+def purity(rho) -> float:
     """``tr[rho^2]``, equal to the sum of squared entry magnitudes."""
-    m = validate_density(rho, tol)
+    m = validate_density(rho)
     return _trace_product(m, m)
 
 
-def dm_logical_entropy(rho, tol: float = DENSITY_TOL) -> float:
+def dm_logical_entropy(rho) -> float:
     """Logical entropy ``1 - tr[rho^2]`` of a density matrix.
 
     Reported as exactly 0.0 when the matrix is pure within tolerance
-    (``tr[rho^2]`` within ``tol`` of one), so pure states have entropy zero
-    rather than a stray rounding residue.
+    (``tr[rho^2]`` within ``DENSITY_TOL`` of one), so pure states have
+    entropy zero rather than a stray rounding residue.
     """
-    return _entropy(validate_density(rho, tol), tol)
+    return _entropy(validate_density(rho))
 
 
-def validate_projectors(projs, tol: float = DENSITY_TOL) -> list:
-    """Check a complete set of mutually orthogonal Hermitian projectors."""
+def validate_projectors(projs) -> list:
+    """Check a complete set of mutually orthogonal Hermitian projectors within ``DENSITY_TOL``."""
     if not projs:
         raise InvalidProjectorSet("empty projector set")
     mats = [_as_square_matrix(P) for P in projs]
@@ -162,17 +166,17 @@ def validate_projectors(projs, tol: float = DENSITY_TOL) -> list:
     for i, P in enumerate(mats):
         if P.shape[0] != dim:
             raise DimensionMismatch("projectors have mixed dimensions")
-        if float(np.max(np.abs(P - P.conj().T))) > tol:
-            raise InvalidProjectorSet(f"projector {i} is not Hermitian within {tol}")
-        if float(np.max(np.abs(P @ P - P))) > tol:
-            raise InvalidProjectorSet(f"projector {i} is not idempotent within {tol}")
+        if float(np.max(np.abs(P - P.conj().T))) > DENSITY_TOL:
+            raise InvalidProjectorSet(f"projector {i} is not Hermitian within {DENSITY_TOL}")
+        if float(np.max(np.abs(P @ P - P))) > DENSITY_TOL:
+            raise InvalidProjectorSet(f"projector {i} is not idempotent within {DENSITY_TOL}")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if float(np.max(np.abs(mats[i] @ mats[j]))) > tol:
-                raise InvalidProjectorSet(f"projectors {i} and {j} are not orthogonal within {tol}")
+            if float(np.max(np.abs(mats[i] @ mats[j]))) > DENSITY_TOL:
+                raise InvalidProjectorSet(f"projectors {i} and {j} are not orthogonal within {DENSITY_TOL}")
     total = sum(mats)
-    if float(np.max(np.abs(total - np.eye(dim)))) > tol:
-        raise InvalidProjectorSet(f"projectors do not sum to the identity within {tol}")
+    if float(np.max(np.abs(total - np.eye(dim)))) > DENSITY_TOL:
+        raise InvalidProjectorSet(f"projectors do not sum to the identity within {DENSITY_TOL}")
     return mats
 
 
@@ -202,7 +206,7 @@ def projectors_from_eigenbasis(basis, pi: Partition) -> list:
     return out
 
 
-def luders(rho, projs, tol: float = DENSITY_TOL) -> np.ndarray:
+def luders(rho, projs) -> np.ndarray:
     """Projective measurement without selection: ``sum_i P_i rho P_i``.
 
     Validates the inputs, then re-symmetrizes the result to scrub rounding
@@ -210,8 +214,8 @@ def luders(rho, projs, tol: float = DENSITY_TOL) -> np.ndarray:
     the projectors are diagonal blocks it keeps the within-block entries of
     ``rho`` and zeroes the rest.
     """
-    m = validate_density(rho, tol)
-    mats = validate_projectors(projs, tol)
+    m = validate_density(rho)
+    mats = validate_projectors(projs)
     if mats[0].shape[0] != m.shape[0]:
         raise DimensionMismatch(
             f"density is {m.shape[0]}-dimensional, projectors are {mats[0].shape[0]}-dimensional"
@@ -235,13 +239,12 @@ def decohered_sumsq(before, after) -> float:
     return float(np.sum(np.abs(b) ** 2) - np.sum(np.abs(a) ** 2))
 
 
-def von_neumann(rho, tol: float = DENSITY_TOL) -> float:
+def von_neumann(rho) -> float:
     """Von Neumann entropy ``-sum lambda log2 lambda`` in bits.
 
-    Eigenvalues within tolerance of the boundary are clamped into [0, 1];
-    zero eigenvalues contribute zero.
+    Eigenvalues are clamped into [0, 1]; zero eigenvalues contribute zero.
     """
-    m = validate_density(rho, tol)
+    m = validate_density(rho)
     evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
     return _bits(np.clip(evals, 0.0, 1.0))
 

@@ -208,16 +208,16 @@ def is_dit(p: Partition, a: int, b: int) -> bool:
     return not p.same_block(a, b)
 
 
-def ditset(p: Partition, materialize_bound: int = DITSET_MATERIALIZE_BOUND) -> PairSet:
+def ditset(p: Partition) -> PairSet:
     """The set of ordered pairs distinguished by ``p``.
 
-    Materialized explicitly; for universes above ``materialize_bound`` use
-    :func:`is_dit` for membership instead (raises :class:`BoundExceeded`).
+    Materialized explicitly; for universes above ``DITSET_MATERIALIZE_BOUND``
+    use :func:`is_dit` for membership instead (raises :class:`BoundExceeded`).
     """
     n = p.universe.size
-    if n > materialize_bound:
+    if n > DITSET_MATERIALIZE_BOUND:
         raise BoundExceeded(
-            f"ditset materialization for n={n} exceeds bound {materialize_bound}; "
+            f"ditset materialization for n={n} exceeds bound {DITSET_MATERIALIZE_BOUND}; "
             "use is_dit for membership queries"
         )
     ids = p._block_of
@@ -225,13 +225,11 @@ def ditset(p: Partition, materialize_bound: int = DITSET_MATERIALIZE_BOUND) -> P
     return PairSet(p.universe, pairs)
 
 
-def inditset(p: Partition, materialize_bound: int = DITSET_MATERIALIZE_BOUND) -> PairSet:
+def inditset(p: Partition) -> PairSet:
     """The complement of the ditset: pairs lying in a common block."""
     n = p.universe.size
-    if n > materialize_bound:
-        raise BoundExceeded(
-            f"inditset materialization for n={n} exceeds bound {materialize_bound}"
-        )
+    if n > DITSET_MATERIALIZE_BOUND:
+        raise BoundExceeded(f"inditset materialization for n={n} exceeds bound {DITSET_MATERIALIZE_BOUND}")
     ids = p._block_of
     pairs = frozenset((a, b) for a in range(n) for b in range(n) if ids[a] == ids[b])
     return PairSet(p.universe, pairs)

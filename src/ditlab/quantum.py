@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -86,6 +87,9 @@ class Observable:
         object.__setattr__(self, "eigenvalues", tuple(vals))
         if not vals:
             raise InvalidObservable("an observable needs at least one eigenvalue")
+        # With a float among them, the eigenvalues are grouped as floats.
+        if not all(map(classical._is_exact, vals)) and max(map(abs, vals)) > sys.float_info.max:
+            raise InvalidObservable("an exact eigenvalue beyond the float range beside float ones")
         if self.eigenbasis is not None:
             b = np.asarray(self.eigenbasis).astype(np.complex128, copy=True)
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -96,8 +100,9 @@ class Observable:
                 )
             if not np.all(np.isfinite(b)):
                 raise InvalidObservable("eigenbasis has a non-finite entry")
-            gap = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
-            if gap > ROUTE_TOL:
+            with np.errstate(over="ignore", invalid="ignore"):  # huge entries: rejected below
+                gap = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
+            if not gap <= ROUTE_TOL:
                 raise InvalidObservable(
                     f"eigenbasis columns are not orthonormal: max deviation {gap:.3e}"
                 )
@@ -109,12 +114,12 @@ class Observable:
         return len(self.eigenvalues)
 
     @classmethod
-    def from_matrix(cls, mat, tol: float = ROUTE_TOL) -> "Observable":
-        """Eigendecompose a Hermitian matrix into an Observable."""
+    def from_matrix(cls, mat) -> "Observable":
+        """Eigendecompose a matrix that is Hermitian within ``ROUTE_TOL`` into an Observable."""
         m = np.asarray(mat).astype(np.complex128, copy=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidObservable(f"expected a square matrix, got shape {m.shape}")
-        if float(np.max(np.abs(m - m.conj().T))) > tol:
+        if float(np.max(np.abs(m - m.conj().T))) > ROUTE_TOL:
             raise InvalidObservable("matrix is not Hermitian within tolerance")
         vals, vecs = np.linalg.eigh(m)
         return cls(tuple(float(v) for v in vals), vecs)
@@ -130,12 +135,12 @@ class Observable:
         d = np.array([float(v) for v in self.eigenvalues])
         return (u * d) @ u.conj().T
 
-    def eigenvalue_partition(self, tol: float = EIGENVALUE_GROUP_TOL) -> Partition:
+    def eigenvalue_partition(self) -> Partition:
         """Partition of basis indices by equal eigenvalue.
 
         Exact equality when every eigenvalue is an int or Fraction;
-        otherwise values within ``tol`` of each other (transitively) share
-        a class.
+        otherwise values within ``EIGENVALUE_GROUP_TOL`` of each other
+        (transitively) share a class.
         """
         n = self.dim
         if all(classical._is_exact(v) for v in self.eigenvalues):
@@ -147,20 +152,19 @@ class Observable:
             order = sorted(range(n), key=lambda j: float(self.eigenvalues[j]))
             blocks_list = [[order[0]]]
             for prev, cur in zip(order, order[1:]):
-                if float(self.eigenvalues[cur]) - float(self.eigenvalues[prev]) > tol:
+                if float(self.eigenvalues[cur]) - float(self.eigenvalues[prev]) > EIGENVALUE_GROUP_TOL:
                     blocks_list.append([])
                 blocks_list[-1].append(cur)
             blocks = tuple(tuple(sorted(b)) for b in blocks_list)
         return Partition(Universe(n), blocks)
 
-    def class_values(self, tol: float = EIGENVALUE_GROUP_TOL) -> list:
+    def class_values(self) -> list:
         """Representative eigenvalue of each class, in canonical block order."""
-        part = self.eigenvalue_partition(tol)
-        return [self.eigenvalues[block[0]] for block in part.blocks]
+        return [self.eigenvalues[block[0]] for block in self.eigenvalue_partition().blocks]
 
 
-def eigenvalue_partition(F: Observable, tol: float = EIGENVALUE_GROUP_TOL) -> Partition:
-    return F.eigenvalue_partition(tol)
+def eigenvalue_partition(F: Observable) -> Partition:
+    return F.eigenvalue_partition()
 
 
 def qudit_pairs(F: Observable) -> PairSet:
@@ -195,7 +199,7 @@ class ObservableStateEntropy:
         return self.value
 
 
-def h_observable_state(F: Observable, psi, tol: float = ROUTE_TOL) -> ObservableStateEntropy:
+def h_observable_state(F: Observable, psi) -> ObservableStateEntropy:
     """Quantum logical entropy of measuring ``F`` on ``psi``.
 
     Computed three ways: the double sum of ``p_j p_k`` over distinguished
@@ -203,7 +207,7 @@ def h_observable_state(F: Observable, psi, tol: float = ROUTE_TOL) -> Observable
     entropy of the eigenvalue partition under ``p``, and the
     post-measurement entropy ``1 - tr[rho'^2]``.  Raises
     :class:`InternalInconsistency` if any two routes disagree beyond
-    ``tol``.
+    ``ROUTE_TOL``.
     """
     amp = _state(psi, F.dim, F.basis_matrix())
     p = np.abs(amp) ** 2
@@ -216,9 +220,9 @@ def h_observable_state(F: Observable, psi, tol: float = ROUTE_TOL) -> Observable
     via_measurement = density._entropy(_mask(F, part, amp))
 
     for a, b in ((via_pairs, via_partition), (via_pairs, via_measurement), (via_partition, via_measurement)):
-        if abs(a - b) > tol:
+        if abs(a - b) > ROUTE_TOL:
             raise InternalInconsistency(
-                f"h(F:psi) routes disagree beyond {tol}: "
+                f"h(F:psi) routes disagree beyond {ROUTE_TOL}: "
                 f"pairs={via_pairs!r} partition={via_partition!r} measurement={via_measurement!r}"
             )
     return ObservableStateEntropy(via_pairs, via_pairs, via_partition, via_measurement)
@@ -286,7 +290,7 @@ def _profile_from_classical(prof: classical.EntropyProfile) -> QuantumProfile:
     return QuantumProfile(*(float(getattr(prof, f.name)) for f in fields(prof)))
 
 
-def _joint_eigenbasis(F: Observable, G: Observable, commutation_tol: float):
+def _joint_eigenbasis(F: Observable, G: Observable):
     """Shared basis and per-column eigenvalue lists for commuting observables.
 
     Prefers an explicitly shared eigenbasis.  Otherwise checks the
@@ -296,14 +300,14 @@ def _joint_eigenbasis(F: Observable, G: Observable, commutation_tol: float):
     if F.dim != G.dim:
         raise DimensionMismatch(f"observable dimensions {F.dim} and {G.dim} differ")
     uf, ug = F.basis_matrix(), G.basis_matrix()
-    if np.allclose(uf, ug, atol=1e-12, rtol=0.0):
+    if np.allclose(uf, ug, atol=classical.FLOAT_TOL, rtol=0.0):
         return uf, list(F.eigenvalues), list(G.eigenvalues)
 
     fm, gm = F.matrix(), G.matrix()
     comm = float(np.max(np.abs(fm @ gm - gm @ fm)))
-    if comm > commutation_tol:
+    if comm > COMMUTATION_TOL:
         raise NotCommuting(
-            f"max |FG - GF| = {comm:.3e} exceeds {commutation_tol}; "
+            f"max |FG - GF| = {comm:.3e} exceeds {COMMUTATION_TOL}; "
             "supply a shared eigenbasis or commuting observables"
         )
     part = F.eigenvalue_partition()
@@ -320,26 +324,21 @@ def _joint_eigenbasis(F: Observable, G: Observable, commutation_tol: float):
         g_vals.extend(float(v) for v in vals)
     basis = np.hstack(cols)
     gap = float(np.max(np.abs(basis.conj().T @ gm @ basis - np.diag(g_vals))))
-    if gap > math.sqrt(commutation_tol):
+    if gap > math.sqrt(COMMUTATION_TOL):
         raise NotCommuting(
             f"joint diagonalization failed: residual off-diagonal {gap:.3e}"
         )
     return basis, f_vals, g_vals
 
 
-def commuting_profile(
-    F: Observable,
-    G: Observable,
-    psi,
-    commutation_tol: float = COMMUTATION_TOL,
-) -> QuantumProfile:
+def commuting_profile(F: Observable, G: Observable, psi) -> QuantumProfile:
     """Compound entropies for two commuting observables measured on one state.
 
     On the shared eigenbasis the joint measurement is classical: the
     profile is exactly the classical one of the two eigenvalue partitions
     under the shared outcome distribution.
     """
-    basis, f_vals, g_vals = _joint_eigenbasis(F, G, commutation_tol)
+    basis, f_vals, g_vals = _joint_eigenbasis(F, G)
     p = np.abs(_state(psi, F.dim, basis)) ** 2
     pi_f = Observable(tuple(f_vals)).eigenvalue_partition()
     pi_g = Observable(tuple(g_vals)).eigenvalue_partition()
@@ -443,20 +442,17 @@ def noncommuting_profile_dense(F: Observable, G: Observable, psi2) -> QuantumPro
     return QuantumProfile(*(region_value(region) for region in _REGIONS))
 
 
-def degeneracy_check(
-    F: Observable,
-    G: Observable,
-    tol: float = EIGENVALUE_GROUP_TOL,
-) -> list:
+def degeneracy_check(F: Observable, G: Observable) -> list:
     """Accidental eigenvalue-product coincidences between two observables.
 
     Returns the class-index pairs ``((i, j), (i2, j2))`` with ``i != i2``,
     ``j != j2`` and ``value_i * value_j == value_i2 * value_j2`` (within
-    ``tol`` for float values).  Empty means products separate the classes,
-    so a product observable has no accidental degeneracy.
+    ``EIGENVALUE_GROUP_TOL`` for float values).  Empty means products
+    separate the classes, so a product observable has no accidental
+    degeneracy.
     """
-    fv = F.class_values(tol)
-    gv = G.class_values(tol)
+    fv = F.class_values()
+    gv = G.class_values()
     exact = all(classical._is_exact(v) for v in fv + gv)
     out = []
     cells = [(i, j) for i in range(len(fv)) for j in range(len(gv))]
@@ -468,7 +464,7 @@ def degeneracy_check(
                 continue
             p1 = fv[i] * gv[j]
             p2 = fv[i2] * gv[j2]
-            same = p1 == p2 if exact else abs(float(p1) - float(p2)) <= tol
+            same = p1 == p2 if exact else abs(float(p1) - float(p2)) <= EIGENVALUE_GROUP_TOL
             if same:
                 out.append(((i, j), (i2, j2)))
     return out
@@ -492,7 +488,7 @@ def spectral_pair_bruteforce(lam: Sequence[float], mu: Sequence[float]) -> Quant
     return classical._regions(QuantumProfile, [[float(v) for v in row] for row in t])
 
 
-def density_pair_profile(rho, tau, tol: float = ROUTE_TOL) -> QuantumProfile:
+def density_pair_profile(rho, tau) -> QuantumProfile:
     """Compound entropies of an independent pair of density matrices.
 
     With purities ``a = tr[rho^2]`` and ``b = tr[tau^2]`` the closed forms
@@ -500,7 +496,7 @@ def density_pair_profile(rho, tau, tol: float = ROUTE_TOL) -> QuantumProfile:
     subtractions then give ``h_f_given_g = (1 - a) b``,
     ``h_g_given_f = a (1 - b)`` and ``mutual = (1 - a)(1 - b)``.  For
     small dimensions the spectral quadruple-sum oracle is run alongside and
-    disagreement raises :class:`InternalInconsistency`.
+    disagreement beyond ``ROUTE_TOL`` raises :class:`InternalInconsistency`.
     """
     r = density.validate_density(rho)
     t = density.validate_density(tau)
@@ -511,7 +507,7 @@ def density_pair_profile(rho, tau, tol: float = ROUTE_TOL) -> QuantumProfile:
     prof = classical._six(QuantumProfile, 1.0 - a, 1.0 - b, 1.0 - a * b)
     if (len(lam) * len(mu)) ** 2 <= classical.REGION_ORACLE_BOUND:
         brute = spectral_pair_bruteforce(lam, mu)
-        classical._agree("density pair profile", prof, brute, False, tol)
+        classical._agree("density pair profile", prof, brute, False, ROUTE_TOL)
     return prof
 
 
@@ -524,12 +520,12 @@ def _density_pair(rho, tau) -> tuple:
     return r, t
 
 
-def quantum_cross_entropy(rho, tau, tol: float = ROUTE_TOL) -> float:
+def quantum_cross_entropy(rho, tau) -> float:
     """``1 - tr[rho tau]``: two draws, one from each matrix, distinguished.
 
     Symmetric; equals the plain logical entropy on the diagonal.  The trace
-    is cross-checked against its eigenbasis overlap expansion
-    ``sum_ij lambda_i mu_j |<u_i|v_j>|^2``.
+    is cross-checked, within ``ROUTE_TOL``, against its eigenbasis overlap
+    expansion ``sum_ij lambda_i mu_j |<u_i|v_j>|^2``.
     """
     r, t = _density_pair(rho, tau)
     overlap = density._trace_product(r, t)
@@ -537,7 +533,7 @@ def quantum_cross_entropy(rho, tau, tol: float = ROUTE_TOL) -> float:
     mu, v = np.linalg.eigh((t + t.conj().T) / 2)
     gram = np.abs(u.conj().T @ v) ** 2
     expansion = float(lam @ gram @ mu)
-    if abs(overlap - expansion) > tol:
+    if abs(overlap - expansion) > ROUTE_TOL:
         raise InternalInconsistency(
             f"tr[rho tau] = {overlap!r} but its overlap expansion gives {expansion!r}"
         )
@@ -550,18 +546,18 @@ def hilbert_schmidt_distance(rho, tau) -> float:
     return density._trace_product(r - t, r - t)
 
 
-def quantum_hamming(rho, tau, tol: float = 1e-12) -> float:
+def quantum_hamming(rho, tau) -> float:
     """Entropy-form distance ``2 h(rho||tau) - h(rho) - h(tau)``.
 
     Equals ``tr[rho^2] + tr[tau^2] - 2 tr[rho tau] = tr[(rho - tau)^2]``,
-    which is asserted within ``tol``; nonnegative, and zero exactly when
-    the two matrices coincide.
+    which is checked within ``classical.FLOAT_TOL``; nonnegative, and zero
+    exactly when the two matrices coincide.
     """
     r, t = _density_pair(rho, tau)
     tr = density._trace_product
     d = tr(r, r) + tr(t, t) - 2.0 * tr(r, t)
     hs = tr(r - t, r - t)
-    if abs(d - hs) > tol:
+    if abs(d - hs) > classical.FLOAT_TOL:
         raise InternalInconsistency(
             f"distance forms disagree: trace form {d!r}, Hilbert-Schmidt {hs!r}"
         )

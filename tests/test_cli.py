@@ -323,6 +323,85 @@ def test_distance_rejects_non_finite_entries(tmp_path, bad):
         assert (code, out) == (3, "") and "invariant violation" in err
 
 
+_ROW = [[0.5, 0.0], [0.0, 0.0]]
+_MALFORMED_COMPLEX = {
+    "ragged matrix": ("matrix", [_ROW, [[0.0, 0.0]]]),
+    "ragged eigenbasis": ("eigenbasis", [[[1, 0], [0, 0]], [[0, 0]]]),
+    "huge amplitude": ("amplitudes", [[10 ** 400, 0], [0, 0]]),
+    "huge matrix entry": ("matrix", [[[0.5, 0.0], [0.0, 10 ** 400]], [[0.0, 0.0], [0.5, 0.0]]]),
+    "huge eigenbasis entry": ("eigenbasis", [[[1, 0], [0, 0]], [[0, 0], [1, -10 ** 400]]]),
+    "boolean": ("matrix", [[[0.5, False], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]),
+    "string": ("amplitudes", [["1", 0], [0, 0]]),
+    "null": ("eigenbasis", [[[1, None], [0, 0]], [[0, 0], [1, 0]]]),
+    "too deep": ("amplitudes", [[[1, 0]], [[0, 0]]]),
+    "too shallow": ("matrix", [[0.5, 0.0], [0.0, 0.5]]),
+    "not a pair": ("amplitudes", [[1, 0, 0], [0, 0, 0]]),
+    "not an array": ("matrix", {"re": 1}),
+}
+
+
+def _complex_doc_argv(tmp_path, field, value):
+    """A measure or distance command line whose ``field`` holds ``value``."""
+    state = {"kind": "state", "amplitudes": [[1, 0], [0, 0]]}
+    obs = {"kind": "observable", "eigenvalues": [1, 0]}
+    if field == "matrix":
+        rho = write_doc(tmp_path, "r.json", _density_doc(np.eye(2) / 2))
+        tau = write_doc(tmp_path, "t.json", {"kind": "density", "matrix": value})
+        return ["distance", "--rho", rho, "--tau", tau]
+    if field == "amplitudes":
+        state["amplitudes"] = value
+    else:
+        obs["eigenbasis"] = value
+    s_f = write_doc(tmp_path, "s.json", state)
+    return ["measure", "--state", s_f, "--observable", write_doc(tmp_path, "o.json", obs)]
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_COMPLEX))
+def test_malformed_complex_arrays_exit_two(tmp_path, case):
+    field, value = _MALFORMED_COMPLEX[case]
+    code, out, err = run(_complex_doc_argv(tmp_path, field, value))
+    assert (code, out) == (2, "") and "input error" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("amplitudes", []), ("matrix", []), ("matrix", [[]]), ("eigenbasis", []),
+])
+def test_empty_complex_arrays_exit_three(tmp_path, field, value):
+    code, out, err = run(_complex_doc_argv(tmp_path, field, value))
+    assert (code, out) == (3, "") and "invariant violation" in err
+
+
+def test_complex_arrays_keep_every_bit():
+    inf, nan = float("inf"), float("nan")
+    pairs = [[0, inf], [-0.0, 0.0], [2 ** 53 + 1, -(2 ** 60) - 1], [0.1, nan], [-inf, 1e-320]]
+    got = cli._complex_array([pairs[:2], pairs[2:4]], 2, "doc")
+    want = np.array([[complex(re, im) for re, im in pairs[:2]],
+                     [complex(re, im) for re, im in pairs[2:4]]])
+    assert got.dtype == np.complex128 and got.shape == (2, 2)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    vec = cli._complex_array(pairs, 1, "doc")
+    want = np.array([complex(re, im) for re, im in pairs])
+    assert vec.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.filterwarnings("error")
+def test_distance_infinite_entries_warn_nothing(tmp_path):
+    rho = np.eye(2) / 2
+    r_f = write_doc(tmp_path, "r.json", _density_doc(rho))
+    doc = _density_doc(rho)
+    doc["matrix"][0][1] = doc["matrix"][1][0] = [float("inf"), 0.0]
+    t_f = write_doc(tmp_path, "t.json", doc)
+    code, out, err = run(["distance", "--rho", r_f, "--tau", t_f])
+    assert (code, out) == (3, "") and "non-finite" in err
+
+
+def test_overlong_integer_exits_two(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text('{"kind": "density", "matrix": [[[1' + "0" * 5000 + ', 0]]]}')
+    code, out, err = run(["distance", "--rho", str(path), "--tau", str(path)])
+    assert (code, out) == (2, "") and "not valid JSON" in err
+
+
 # ------------------------------------------------------- output format, misc
 
 def test_csv_output(parity_file, uniform6_file):

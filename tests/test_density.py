@@ -70,6 +70,16 @@ def test_validators_reject_non_finite_entries(bad):
         validate_state([1.0, complex(0.0, bad)])
 
 
+@pytest.mark.filterwarnings("error")
+def test_validators_reject_overflowing_entries():
+    m = np.eye(2) / 2
+    m[0, 1] = m[1, 0] = 1e308  # finite, but rho + rho^dagger overflows
+    with pytest.raises(NotPSD):
+        validate_density(m)
+    with pytest.raises(InvalidStateVector):
+        validate_state([1e200, 0.0])
+
+
 def test_validate_state():
     validate_state(np.array([1.0, 0.0]))
     validate_state(np.full(4, 0.5))

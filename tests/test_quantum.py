@@ -73,6 +73,15 @@ def test_observable_and_state_reject_non_finite_numbers(bad):
             f(F, np.array([bad, 0.0]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_observable_rejects_values_that_overflow_a_float():
+    with pytest.raises(InvalidObservable):
+        Observable((10 ** 400, 0.5))
+    with pytest.raises(InvalidObservable):
+        Observable((1, 0), np.array([[1e308, 0], [0, 1]], dtype=complex))
+    assert Observable((10 ** 400, 1)).eigenvalue_partition().n_blocks == 2
+
+
 def test_observable_from_matrix_roundtrip():
     rng = np.random.default_rng(7)
     u = helpers.random_unitary(rng, 4)
