@@ -30,17 +30,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Sequence, Union
 
-from .errors import (
-    InternalInconsistency,
-    InvalidDistribution,
-    LengthMismatch,
-    UniverseMismatch,
-)
+from .errors import InvalidDistribution, LengthMismatch, UniverseMismatch, _agree
 from .partitions import (
     DITSET_MATERIALIZE_BOUND,
     PairSet,
@@ -97,7 +92,11 @@ class ProbDist:
         total = sum(w)
         if self.is_exact:
             if total != 1:
-                raise InvalidDistribution(f"weights sum to {total}, expected 1")
+                try:
+                    message = f"weights sum to {total}, expected 1"
+                except ValueError:  # more digits than Python converts to text
+                    message = "weights do not sum to 1"
+                raise InvalidDistribution(message)
         elif abs(total - 1) > FLOAT_TOL:
             raise InvalidDistribution(f"weights sum to {total!r}, expected 1 within {FLOAT_TOL}")
 
@@ -240,14 +239,21 @@ def _regions(cls, t):
     return cls(*(_sum(t[a][b] for a, b in cells) for cells in _REGION_CELLS))
 
 
-def _agree(what: str, closed, oracle, exact: bool, tol: float) -> None:
-    """Raise :class:`InternalInconsistency` where two profiles differ."""
-    for f in fields(closed):
-        a, b = getattr(closed, f.name), getattr(oracle, f.name)
-        if (a != b) if exact else abs(a - b) > tol:
-            raise InternalInconsistency(
-                f"{what}: closed form and oracle disagree on {f.name}: {a!r} vs {b!r}"
-            )
+def _route(what: str, method: str, closed, oracle, small: bool, tol=FLOAT_TOL):
+    """The one oracle policy, for every profile that has an oracle.
+
+    ``"closed"`` returns ``closed()``, ``"regions"`` returns ``oracle()``, and ``"auto"``
+    returns ``closed()`` after checking it against ``oracle()`` if the size test ``small`` passed:
+    exactly when the weights, and so the profile, are exact, else within ``tol``.
+    """
+    if method not in ("auto", "closed", "regions"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "regions":
+        return oracle()
+    prof = closed()
+    if method == "auto" and small:
+        _agree(f"{what}: closed form and oracle", prof, oracle(), _is_exact(prof.h_joint), tol)
+    return prof
 
 
 def block_probabilities(pi: Partition, p: ProbDist) -> list:
@@ -295,29 +301,22 @@ def entropy_profile(
     if pi.universe != sigma.universe:
         raise UniverseMismatch("entropy profile needs partitions on one universe")
     _check_dist(pi, p, "entropy profile")
-    if method not in ("auto", "closed", "regions"):
-        raise ValueError(f"unknown method {method!r}")
 
-    if method in ("auto", "closed"):
-        closed = _profile(
-            _logical, block_probabilities(pi, p), block_probabilities(sigma, p),
-            _point_table(pi, sigma, p),
-        )
-        if method == "closed" or pi.universe.size > DITSET_MATERIALIZE_BOUND:
-            return closed
+    def regions():
+        dit_pi, dit_sigma = ditset(pi), ditset(sigma)
+        # No region reads t[0][0], the pairs neither partition distinguishes.
+        return _regions(EntropyProfile, [
+            [None, product_measure(dit_sigma.difference(dit_pi), p)],
+            [product_measure(dit_pi.difference(dit_sigma), p),
+             product_measure(dit_pi.intersection(dit_sigma), p)],
+        ])
 
-    dit_pi = ditset(pi)
-    dit_sigma = ditset(sigma)
-    # No region reads t[0][0], the pairs neither partition distinguishes.
-    regions = _regions(EntropyProfile, [
-        [None, product_measure(dit_sigma.difference(dit_pi), p)],
-        [product_measure(dit_pi.difference(dit_sigma), p),
-         product_measure(dit_pi.intersection(dit_sigma), p)],
-    ])
-    if method == "regions":
-        return regions
-    _agree("entropy profile", closed, regions, p.is_exact, FLOAT_TOL)
-    return closed
+    return _route(
+        "entropy profile", method,
+        lambda: _profile(_logical, block_probabilities(pi, p), block_probabilities(sigma, p),
+                         _point_table(pi, sigma, p)),
+        regions, pi.universe.size <= DITSET_MATERIALIZE_BOUND,
+    )
 
 
 def shannon_entropy(pi: Partition, p: ProbDist) -> float:
@@ -408,23 +407,19 @@ def twoset_profile(
         raise UniverseMismatch(
             f"sigma partitions size {sigma.universe.size}, joint Y side is {joint.y_size}"
         )
-    if method not in ("auto", "closed", "regions"):
-        raise ValueError(f"unknown method {method!r}")
-
     ids_a = [a for a in pi._block_of for _ in range(joint.y_size)]
     ids_b = sigma._block_of * joint.x_size
     weights = [w for row in joint.weights for w in row]
-    if method in ("auto", "closed"):
-        q = _block_table(zip(ids_a, ids_b, weights), pi.n_blocks, sigma.n_blocks)
-        closed = _profile(_logical, [_sum(row) for row in q], [_sum(col) for col in zip(*q)], q)
-        if method == "closed" or len(weights) ** 2 > REGION_ORACLE_BOUND:
-            return closed
 
-    regions = _regions(EntropyProfile, _region_table(weights, ids_a, ids_b))
-    if method == "regions":
-        return regions
-    _agree("two-set profile", closed, regions, joint.is_exact, FLOAT_TOL)
-    return closed
+    def closed():
+        q = _block_table(zip(ids_a, ids_b, weights), pi.n_blocks, sigma.n_blocks)
+        return _profile(_logical, [_sum(row) for row in q], [_sum(col) for col in zip(*q)], q)
+
+    return _route(
+        "two-set profile", method, closed,
+        lambda: _regions(EntropyProfile, _region_table(weights, ids_a, ids_b)),
+        len(weights) ** 2 <= REGION_ORACLE_BOUND,
+    )
 
 
 def dist_entropy(p: ProbDist) -> Number:

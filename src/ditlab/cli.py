@@ -11,7 +11,7 @@ Output is byte-for-byte deterministic: keys are emitted in fixed order,
 floats with 17 significant digits, exact rationals as ``"a/b"`` strings.
 Exit codes: 0 success, 2 malformed input, 3 mathematical invariant
 violated (including any failed identity in the report), 4 work limit
-exceeded.
+exceeded (including an exact value with more digits than Python prints).
 """
 
 from __future__ import annotations
@@ -72,7 +72,11 @@ def _require(doc, field, path):
 
 
 def _parse_number(x, path):
-    """JSON number or ``"a/b"`` string -> int/Fraction (exact) or float."""
+    """JSON number or ``"a/b"`` string -> int/Fraction (exact) or float.
+
+    Strings in exponent notation are refused: ``Fraction`` would build
+    ``10 ** exponent`` in full, with no bound on the work.
+    """
     if isinstance(x, bool):
         raise InputSchemaError(f"{path}: boolean is not a number")
     if isinstance(x, int):
@@ -80,6 +84,8 @@ def _parse_number(x, path):
     if isinstance(x, float):
         return x
     if isinstance(x, str):
+        if "e" in x.lower():
+            raise InputSchemaError(f"{path}: exponent notation in {x!r}; write a rational as a/b")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -170,10 +176,12 @@ def _load_density(path: str):
 def _scalar(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return json.dumps(str(v))
-    if isinstance(v, int):
-        return str(v)
+    if isinstance(v, (Fraction, int)):
+        try:
+            text = str(v)
+        except ValueError as exc:
+            raise BoundExceeded("a value has more digits than Python converts to text") from exc
+        return json.dumps(text) if isinstance(v, Fraction) else text
     if isinstance(v, float):
         return format(v, ".17g")
     if isinstance(v, str):
@@ -204,16 +212,14 @@ def _flatten(prefix: str, obj, rows: list) -> None:
         rows.append((prefix, _scalar(obj).strip('"')))
 
 
-def _emit(report: dict, fmt: str, stream) -> None:
+def _render(report: dict, fmt: str) -> str:
+    """The whole report as text, so a value that cannot be printed leaves stdout empty."""
     if fmt == "json":
-        stream.write(_dumps(report) + "\n")
-        return
+        return _dumps(report) + "\n"
     rows: list = []
     for section in ("quantities", "identities_checked"):
         _flatten(section, report.get(section, {}), rows)
-    stream.write("name,value\n")
-    for name, value in rows:
-        stream.write(f"{name},{value}\n")
+    return "name,value\n" + "".join(f"{name},{value}\n" for name, value in rows)
 
 
 def _matrix_json(mat: np.ndarray) -> list:
@@ -449,6 +455,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
+        text = _render(report, args.format)
     except (InputSchemaError, FormulaSyntaxError) as exc:
         print(f"ditlab: input error: {exc}", file=stderr)
         return 2
@@ -458,7 +465,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except DitlabError as exc:
         print(f"ditlab: invariant violation: {exc}", file=stderr)
         return 3
-    _emit(report, args.format, stdout)
+    stdout.write(text)
     failed = [k for k, v in report.get("identities_checked", {}).items() if not v["pass"]]
     if failed:
         print(f"ditlab: identity check failed: {', '.join(failed)}", file=stderr)

@@ -60,9 +60,10 @@ def validate_density(mat) -> np.ndarray:
     # Non-finite or huge entries overflow to inf or NaN below, and each check
     # rejects those; numpy's warnings about them would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        # A NaN or infinite entry leaves a NaN or an infinity in rho - rho^dagger.
+        # A NaN or infinite entry leaves a NaN or an infinity in rho - rho^dagger;
+        # so do huge finite entries, which fail as NotHermitian below.
         herm_gap = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if not math.isfinite(herm_gap):
+        if not math.isfinite(herm_gap) and not np.all(np.isfinite(m)):
             raise InvalidDensityMatrix("matrix has a non-finite entry")
         if herm_gap > DENSITY_TOL:
             raise NotHermitian(f"max |rho - rho^dagger| = {herm_gap:.3e} exceeds {DENSITY_TOL}")

@@ -110,3 +110,17 @@ class NotCommuting(DitlabError, ValueError):
 
 class InternalInconsistency(DitlabError, RuntimeError):
     """Two internal computation routes disagreed; signals a library bug."""
+
+
+def _agree(what: str, a, b, exact: bool, tol: float) -> None:
+    """Raise :class:`InternalInconsistency` where two routes to one result differ.
+
+    ``a`` and ``b`` are two profiles of one dataclass type, compared field by
+    field, or two tuples, compared item by item.  Exact mode compares with
+    ``!=``; float mode fails unless ``abs(x - y) <= tol``, so NaN and
+    infinity never agree.
+    """
+    pairs = zip(enumerate(a), b) if isinstance(a, tuple) else zip(vars(a).items(), vars(b).values())
+    for (name, x), y in pairs:
+        if (x != y) if exact else not abs(x - y) <= tol:
+            raise InternalInconsistency(f"{what} disagree on {name}: {x!r} vs {y!r}")

@@ -26,9 +26,9 @@ from typing import Mapping, Optional
 from .errors import (
     BoundExceeded,
     FormulaSyntaxError,
-    InternalInconsistency,
     UnboundVariable,
     UniverseMismatch,
+    _agree,
 )
 from .partitions import (
     Partition,
@@ -313,12 +313,10 @@ def check_tautology(
         parts = list(enumerate_partitions(u, max_n)) if names else []
         for combo in itertools.product(parts, repeat=len(names)):
             env = dict(zip(names, combo))
-            if evaluate(f, env, u) != want:
-                # Defensive re-evaluation: a counterexample witness must
-                # reproduce a non-top value when evaluated again.
-                if evaluate(f, env, u) == want:
-                    raise InternalInconsistency(
-                        f"counterexample at n={n} evaluates to top when re-checked"
-                    )
+            value = evaluate(f, env, u)
+            if value != want:
+                # A counterexample witness must evaluate to the same value again.
+                _agree(f"counterexample at n={n} and its re-evaluation",
+                       (value,), (evaluate(f, env, u),), True, 0)
                 return TautologyVerdict(VerdictStatus.COUNTEREXAMPLE, max_n, (n, env))
     return TautologyVerdict(VerdictStatus.TAUTOLOGY_UP_TO_BOUND, max_n)

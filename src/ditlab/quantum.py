@@ -39,13 +39,7 @@ import numpy as np
 
 from . import classical, density
 from .classical import JointDist, ProbDist
-from .errors import (
-    BoundExceeded,
-    DimensionMismatch,
-    InternalInconsistency,
-    InvalidObservable,
-    NotCommuting,
-)
+from .errors import BoundExceeded, DimensionMismatch, InvalidObservable, NotCommuting, _agree
 from .partitions import PairSet, Partition, Universe, ditset
 
 #: Tolerance used when grouping float eigenvalues into classes.
@@ -131,6 +125,8 @@ class Observable:
 
     def matrix(self) -> np.ndarray:
         """Reconstruct ``sum_j value_j |u_j><u_j|``."""
+        if max(map(abs, self.eigenvalues)) > sys.float_info.max:
+            raise InvalidObservable("an eigenvalue beyond the float range has no float matrix")
         u = self.basis_matrix()
         d = np.array([float(v) for v in self.eigenvalues])
         return (u * d) @ u.conj().T
@@ -218,13 +214,9 @@ def h_observable_state(F: Observable, psi) -> ObservableStateEntropy:
         classical.logical_entropy(part, ProbDist(tuple(float(x) for x in p / p.sum())))
     )
     via_measurement = density._entropy(_mask(F, part, amp))
-
-    for a, b in ((via_pairs, via_partition), (via_pairs, via_measurement), (via_partition, via_measurement)):
-        if abs(a - b) > ROUTE_TOL:
-            raise InternalInconsistency(
-                f"h(F:psi) routes disagree beyond {ROUTE_TOL}: "
-                f"pairs={via_pairs!r} partition={via_partition!r} measurement={via_measurement!r}"
-            )
+    routes = (via_pairs, via_partition, via_measurement)
+    _agree("h(F:psi) routes pairs|partition|measurement and partition|measurement|pairs",
+           routes, routes[1:] + routes[:1], False, ROUTE_TOL)
     return ObservableStateEntropy(via_pairs, via_pairs, via_partition, via_measurement)
 
 
@@ -498,17 +490,15 @@ def density_pair_profile(rho, tau) -> QuantumProfile:
     small dimensions the spectral quadruple-sum oracle is run alongside and
     disagreement beyond ``ROUTE_TOL`` raises :class:`InternalInconsistency`.
     """
-    r = density.validate_density(rho)
-    t = density.validate_density(tau)
-    lam = np.clip(np.linalg.eigvalsh((r + r.conj().T) / 2), 0.0, None)
-    mu = np.clip(np.linalg.eigvalsh((t + t.conj().T) / 2), 0.0, None)
-    a = float(np.sum(lam ** 2))
-    b = float(np.sum(mu ** 2))
-    prof = classical._six(QuantumProfile, 1.0 - a, 1.0 - b, 1.0 - a * b)
-    if (len(lam) * len(mu)) ** 2 <= classical.REGION_ORACLE_BOUND:
-        brute = spectral_pair_bruteforce(lam, mu)
-        classical._agree("density pair profile", prof, brute, False, ROUTE_TOL)
-    return prof
+    lam, mu = (np.clip(np.linalg.eigvalsh((m + m.conj().T) / 2), 0.0, None)
+               for m in map(density.validate_density, (rho, tau)))
+    a, b = float(np.sum(lam ** 2)), float(np.sum(mu ** 2))
+    return classical._route(
+        "density pair profile", "auto",
+        lambda: classical._six(QuantumProfile, 1.0 - a, 1.0 - b, 1.0 - a * b),
+        lambda: spectral_pair_bruteforce(lam, mu),
+        (len(lam) * len(mu)) ** 2 <= classical.REGION_ORACLE_BOUND, ROUTE_TOL,
+    )
 
 
 def _density_pair(rho, tau) -> tuple:
@@ -533,10 +523,7 @@ def quantum_cross_entropy(rho, tau) -> float:
     mu, v = np.linalg.eigh((t + t.conj().T) / 2)
     gram = np.abs(u.conj().T @ v) ** 2
     expansion = float(lam @ gram @ mu)
-    if abs(overlap - expansion) > ROUTE_TOL:
-        raise InternalInconsistency(
-            f"tr[rho tau] = {overlap!r} but its overlap expansion gives {expansion!r}"
-        )
+    _agree("tr[rho tau] and its overlap expansion", (overlap,), (expansion,), False, ROUTE_TOL)
     return 1.0 - overlap
 
 
@@ -557,8 +544,5 @@ def quantum_hamming(rho, tau) -> float:
     tr = density._trace_product
     d = tr(r, r) + tr(t, t) - 2.0 * tr(r, t)
     hs = tr(r - t, r - t)
-    if abs(d - hs) > classical.FLOAT_TOL:
-        raise InternalInconsistency(
-            f"distance forms disagree: trace form {d!r}, Hilbert-Schmidt {hs!r}"
-        )
+    _agree("distance trace form and Hilbert-Schmidt form", (d,), (hs,), False, classical.FLOAT_TOL)
     return d

@@ -440,3 +440,42 @@ def test_float_distribution_quantities_are_floats(tmp_path, parity_file):
     assert code == 0
     h = json.loads(out)["quantities"]["h_pi"]
     assert isinstance(h, float) and h == pytest.approx(0.5, abs=1e-12)
+
+
+# ------------------------------------------------------- exact-number limits
+
+@pytest.mark.parametrize("text", ["1e1000000", "1E5", "2/1e3", "0.5e0"])
+def test_exponent_strings_exit_two(tmp_path, text):
+    part = write_doc(tmp_path, "pi.json", {"kind": "partition", "n": 2, "blocks": [[0], [1]]})
+    dist = write_doc(tmp_path, "p.json", {"kind": "dist", "weights": [text, "0"]})
+    obs = write_doc(tmp_path, "f.json", {"kind": "observable", "eigenvalues": [text, 0]})
+    state = write_doc(tmp_path, "s.json", {"kind": "state", "amplitudes": [[1, 0], [0, 0]]})
+    for argv in (["entropy", "--pi", part, "--p", dist],
+                 ["measure", "--state", state, "--observable", obs]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "") and "exponent notation" in err
+
+
+_HUGE = 10 ** 3000 + 7
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_value_too_large_to_print_exits_four(tmp_path, fmt):
+    """A valid distribution whose entropies have more digits than Python prints."""
+    part = write_doc(tmp_path, "pi.json", {"kind": "partition", "n": 2, "blocks": [[0], [1]]})
+    dist = write_doc(tmp_path, "p.json", {
+        "kind": "dist", "weights": [f"1/{_HUGE}", f"{_HUGE - 1}/{_HUGE}"],
+    })
+    for argv in (["entropy", "--pi", part, "--p", dist],
+                 ["entropy", "--pi", part, "--sigma", part, "--p", dist]):
+        code, out, err = run(argv + ["--format", fmt])
+        assert (code, out) == (4, "") and "digits" in err
+
+
+def test_invalid_distribution_with_a_huge_total_exits_three(tmp_path):
+    part = write_doc(tmp_path, "pi.json", {"kind": "partition", "n": 2, "blocks": [[0], [1]]})
+    dist = write_doc(tmp_path, "p.json", {
+        "kind": "dist", "weights": [f"1/{_HUGE}", f"1/{_HUGE + 2}"],
+    })
+    code, out, err = run(["entropy", "--pi", part, "--p", dist])
+    assert (code, out) == (3, "") and "do not sum to 1" in err

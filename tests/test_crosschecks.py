@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from ditlab import density, logic
+from ditlab import classical, density, errors, logic, quantum
 from ditlab.classical import JointDist, ProbDist, entropy_profile, twoset_profile
 from ditlab.errors import InternalInconsistency
 from ditlab.partitions import make_partition, top
@@ -97,3 +97,168 @@ def test_witness_recheck_raises_when_reevaluation_disagrees(monkeypatch):
     with pytest.raises(InternalInconsistency):
         logic.check_tautology(formula, max_n=3)
     assert len(calls) == 2
+
+
+# ------------------------------------------- every cross-check's failure path
+
+HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+
+def _pair(n):
+    """Two crossed partitions of ``range(n)`` and a float distribution on it."""
+    w = np.arange(1, n + 1, dtype=float)
+    return (_partition([x % 2 for x in range(n)]), _partition([x % 3 for x in range(n)]),
+            ProbDist(tuple(float(x) for x in w / w.sum())))
+
+
+def _joint(x, y):
+    w = np.arange(1, x * y + 1, dtype=float).reshape(x, y)
+    return JointDist(tuple(tuple(float(v) for v in row) for row in w / w.sum()))
+
+
+def _densities(n):
+    rng = np.random.default_rng(n)
+    return helpers.random_density(rng, n), helpers.random_density(rng, n)
+
+
+def _shifted(fn, delta):
+    return lambda *args: fn(*args) + delta
+
+
+def _skewed_table(fn, a, b, delta):
+    def table(*args):
+        t = fn(*args)
+        t[a][b] += delta
+        return t
+    return table
+
+
+def test_entropy_profile_raises_when_its_ditset_oracle_disagrees(monkeypatch):
+    monkeypatch.setattr(classical, "product_measure",
+                        _shifted(classical.product_measure, Fraction(1, 10 ** 9)))
+    with pytest.raises(InternalInconsistency, match="entropy profile: closed form and oracle"):
+        entropy_profile(_partition([0, 0, 1]), _partition([0, 1, 1]), ProbDist.uniform(3))
+
+
+def test_twoset_profile_raises_when_its_region_oracle_disagrees(monkeypatch):
+    monkeypatch.setattr(classical, "_region_table",
+                        _skewed_table(classical._region_table, 1, 1, 1e-9))
+    with pytest.raises(InternalInconsistency, match="two-set profile: closed form and oracle"):
+        twoset_profile(top(2), top(3), _joint(2, 3))
+
+
+def test_density_pair_profile_raises_when_its_spectral_oracle_disagrees(monkeypatch):
+    real = quantum.spectral_pair_bruteforce
+    monkeypatch.setattr(quantum, "spectral_pair_bruteforce",
+                        lambda lam, mu: quantum.QuantumProfile(*astuple(real(lam, mu))[:-1], 0.5))
+    with pytest.raises(InternalInconsistency, match="density pair profile: closed form and oracle"):
+        quantum.density_pair_profile(*_densities(3))
+
+
+@pytest.mark.parametrize("route", ["pairs", "partition", "measurement"])
+def test_h_observable_state_raises_when_one_route_disagrees(monkeypatch, route):
+    if route == "pairs":
+        monkeypatch.setattr(classical, "_region_table",
+                            _skewed_table(classical._region_table, 1, 0, 1e-8))
+    elif route == "partition":
+        monkeypatch.setattr(classical, "logical_entropy", _shifted(classical.logical_entropy, 1e-8))
+    else:
+        monkeypatch.setattr(density, "_entropy", _shifted(density._entropy, 1e-8))
+    with pytest.raises(InternalInconsistency, match=r"h\(F:psi\) routes"):
+        quantum.h_observable_state(Observable((0, 1, 1)), np.ones(3) / np.sqrt(3))
+
+
+def test_quantum_cross_entropy_raises_when_its_overlap_expansion_disagrees(monkeypatch):
+    monkeypatch.setattr(density, "_trace_product", _shifted(density._trace_product, 1e-8))
+    with pytest.raises(InternalInconsistency, match="tr\\[rho tau\\] and its overlap expansion"):
+        quantum.quantum_cross_entropy(*_densities(3))
+
+
+def test_quantum_hamming_raises_when_its_two_forms_disagree(monkeypatch):
+    # Shifting every trace leaves the trace form unchanged and moves tr[(r - t)^2].
+    monkeypatch.setattr(density, "_trace_product", _shifted(density._trace_product, 1e-8))
+    with pytest.raises(InternalInconsistency, match="trace form and Hilbert-Schmidt form"):
+        quantum.quantum_hamming(*_densities(3))
+
+
+def test_witness_recheck_names_the_check(monkeypatch):
+    real = logic.evaluate
+    found = []
+
+    def top_after_a_counterexample(f, env, universe):
+        value = top(universe) if found else real(f, env, universe)
+        if value != top(universe):
+            found.append(value)
+        return value
+
+    monkeypatch.setattr(logic, "evaluate", top_after_a_counterexample)
+    with pytest.raises(InternalInconsistency, match="counterexample at n=2 and its re-evaluation"):
+        logic.check_tautology(logic.parse("p"), max_n=2)
+    assert len(found) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_compare_never_lets_nan_or_infinity_agree(bad):
+    with pytest.raises(InternalInconsistency, match="on 0"):
+        errors._agree("check", (bad,), (bad,), False, 1.0)
+    errors._agree("check", (0.5, Fraction(1, 3)), (0.5 + 1e-13, Fraction(1, 3)), False, 1e-12)
+    errors._agree("check", (Fraction(1, 3),), (Fraction(1, 3),), True, 0)
+
+
+def test_nan_on_both_routes_raises(monkeypatch):
+    monkeypatch.setattr(density, "_trace_product", lambda a, b: float("nan"))
+    with pytest.raises(InternalInconsistency, match="trace form and Hilbert-Schmidt form"):
+        quantum.quantum_hamming(*_densities(2))
+
+
+class OracleRan(Exception):
+    pass
+
+
+def _refuse(*args):
+    raise OracleRan
+
+
+@pytest.fixture
+def oracles_refused(monkeypatch):
+    for module, name in ((classical, "ditset"), (classical, "_region_table"),
+                         (quantum, "spectral_pair_bruteforce")):
+        monkeypatch.setattr(module, name, _refuse)
+
+
+def test_closed_method_never_runs_the_oracle(oracles_refused):
+    entropy_profile(*_pair(5), "closed")
+    twoset_profile(top(2), top(3), _joint(2, 3), "closed")
+    psi2 = np.ones(4) / 2
+    quantum.noncommuting_profile(Observable((0, 1)), Observable((0, 1), HADAMARD), psi2, "closed")
+
+
+def test_each_oracle_runs_up_to_its_cutoff_and_not_above(oracles_refused):
+    """n <= 64 for the ditset oracle; (cells)^2 <= 10^6 for the region oracles."""
+    at_cutoff = [
+        lambda: entropy_profile(*_pair(classical.DITSET_MATERIALIZE_BOUND)),
+        lambda: twoset_profile(top(25), top(40), _joint(25, 40)),
+        lambda: quantum.density_pair_profile(*_densities(31)),
+    ]
+    above = [
+        lambda: entropy_profile(*_pair(classical.DITSET_MATERIALIZE_BOUND + 1)),
+        lambda: twoset_profile(top(7), top(143), _joint(7, 143)),
+        lambda: quantum.density_pair_profile(*_densities(32)),
+    ]
+    for run in at_cutoff:
+        with pytest.raises(OracleRan):
+            run()
+    for run in above:
+        run()
+
+
+def test_unknown_method_raises_value_error():
+    psi2 = np.ones(4) / 2
+    calls = [
+        lambda: entropy_profile(*_pair(3), "fast"),
+        lambda: twoset_profile(top(2), top(3), _joint(2, 3), "fast"),
+        lambda: quantum.noncommuting_profile(Observable((0, 1)), Observable((0, 1)), psi2, "fast"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown method 'fast'"):
+            call()

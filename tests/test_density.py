@@ -297,3 +297,10 @@ def test_partition_hamming_equals_density_trace_form():
         ra, rb = rho_partition(a, p), rho_partition(b, p)
         trace_form = np.trace(ra @ ra) + np.trace(rb @ rb) - 2 * np.trace(ra @ rb)
         assert float(hamming_distance(a, b, p)) == pytest.approx(float(trace_form.real), abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_hermitian_gap_is_not_hermitian():
+    """Finite entries whose gap rho - rho^dagger overflows are not called non-finite."""
+    with pytest.raises(NotHermitian):
+        validate_density([[0.5, 1e308], [-1e308, 0.5]])

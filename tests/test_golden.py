@@ -38,6 +38,8 @@ CASES = {
         ["tautology", "--expr", "(s & (s -> p)) -> p", "--max-n", "4"],
     "tautology_counterexample":
         ["tautology", "--formula", "@formula_or.json"],
+    "tautology_counterexample_csv":
+        ["tautology", "--formula", "@formula_or.json", "--format", "csv"],
     "measure_demo_density":
         ["measure", "--demo", "die-parity", "--emit-density"],
     "distance":

@@ -412,3 +412,14 @@ def test_quantum_hamming_pure_states():
 def test_quantum_hamming_shape_check():
     with pytest.raises(DimensionMismatch):
         quantum_hamming(np.eye(2) / 2, np.eye(3) / 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_eigenvalue_beyond_float_range_has_no_float_matrix():
+    big = Observable((10 ** 400, 1))
+    with pytest.raises(InvalidObservable):
+        big.matrix()
+    other = Observable((0, 1), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    for F, G in ((big, other), (other, big)):
+        with pytest.raises(InvalidObservable):
+            commuting_profile(F, G, np.array([1.0, 0.0]))
