@@ -365,6 +365,7 @@ def cmd_measure(args) -> dict:
         obs, obs_digest = _load_observable(args.observable)
         inputs = {"state": state_digest, "observable": obs_digest}
 
+    state = quantum._measured(obs, state)
     h = quantum.h_observable_state(obs, state)
     check = quantum.quantum_fundamental_check(obs, state)
     report = _report("measure", inputs)
@@ -386,6 +387,7 @@ def cmd_measure(args) -> dict:
 def cmd_distance(args) -> dict:
     rho, rho_digest = _load_density(args.rho)
     tau, tau_digest = _load_density(args.tau)
+    rho, tau = density._pair(rho, tau)
     report = _report("distance", {"rho": rho_digest, "tau": tau_digest})
     q = report["quantities"]
     q["h_rho"] = density.dm_logical_entropy(rho)

@@ -15,12 +15,17 @@ rational weights there is an exact side channel: squared entries are the
 rational numbers ``p_j p_k``, so purities, entropies and decoherence sums
 are computed as exact fractions by :class:`ClassicalDensity` without ever
 materializing the irrational square roots.
+
+Validation keeps the spectrum of its one ``eigvalsh`` in the private
+:class:`_Density`; passed in place of a matrix, that carrier is reused, so a
+report validates and decomposes each input once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -49,13 +54,22 @@ def _as_square_matrix(mat) -> np.ndarray:
     return m.astype(np.complex128, copy=False)
 
 
-def validate_density(mat) -> np.ndarray:
-    """Check finite entries, Hermiticity, unit trace and positive semidefiniteness.
+@dataclass(frozen=True, eq=False)
+class _Density:
+    """A checked matrix ``m``, the ``evals`` its validation found, and ``eigh`` on first use."""
 
-    Each test allows ``DENSITY_TOL``.  Returns the matrix as complex128 on
-    success; raises :class:`InvalidDensityMatrix` for a non-finite entry,
-    else :class:`NotHermitian`, :class:`TraceNotOne` or :class:`NotPSD`.
-    """
+    m: np.ndarray
+    evals: np.ndarray
+
+    @cached_property
+    def eigh(self) -> tuple:
+        return np.linalg.eigh((self.m + self.m.conj().T) / 2)
+
+
+def _validated(mat) -> _Density:
+    """The checks of :func:`validate_density`, keeping the spectrum; a carrier passes through."""
+    if isinstance(mat, _Density):
+        return mat
     m = _as_square_matrix(mat)
     # Non-finite or huge entries overflow to inf or NaN below, and each check
     # rejects those; numpy's warnings about them would only be noise.
@@ -70,10 +84,29 @@ def validate_density(mat) -> np.ndarray:
         tr = complex(np.trace(m))
         if abs(tr - 1) > DENSITY_TOL:
             raise TraceNotOne(f"trace is {tr}, expected 1 within {DENSITY_TOL}")
-        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+        evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        low = float(evals.min())
     if not low >= -DENSITY_TOL:  # NaN when a huge entry overflowed
         raise NotPSD(f"minimum eigenvalue {low:.3e} is below -{DENSITY_TOL}")
-    return m
+    return _Density(m, evals)
+
+
+def validate_density(mat) -> np.ndarray:
+    """Check finite entries, Hermiticity, unit trace and positive semidefiniteness.
+
+    Each test allows ``DENSITY_TOL``.  Returns the matrix as complex128 on
+    success; raises :class:`InvalidDensityMatrix` for a non-finite entry,
+    else :class:`NotHermitian`, :class:`TraceNotOne` or :class:`NotPSD`.
+    """
+    return _validated(mat).m
+
+
+def _pair(rho, tau) -> tuple:
+    """Two validated densities that share a shape."""
+    r, t = _validated(rho), _validated(tau)
+    if r.m.shape != t.m.shape:
+        raise DimensionMismatch(f"shapes {r.m.shape} and {t.m.shape} differ")
+    return r, t
 
 
 def validate_state(vec) -> np.ndarray:
@@ -144,7 +177,7 @@ def _entropy(m: np.ndarray) -> float:
 
 def purity(rho) -> float:
     """``tr[rho^2]``, equal to the sum of squared entry magnitudes."""
-    m = validate_density(rho)
+    m = _validated(rho).m
     return _trace_product(m, m)
 
 
@@ -155,29 +188,36 @@ def dm_logical_entropy(rho) -> float:
     (``tr[rho^2]`` within ``DENSITY_TOL`` of one), so pure states have
     entropy zero rather than a stray rounding residue.
     """
-    return _entropy(validate_density(rho))
+    return _entropy(_validated(rho).m)
 
 
 def validate_projectors(projs) -> list:
-    """Check a complete set of mutually orthogonal Hermitian projectors within ``DENSITY_TOL``."""
+    """Check a complete set of mutually orthogonal Hermitian projectors within ``DENSITY_TOL``.
+
+    Each gap must be ``<= DENSITY_TOL``, so a NaN gap fails too.
+    """
     if not projs:
         raise InvalidProjectorSet("empty projector set")
     mats = [_as_square_matrix(P) for P in projs]
     dim = mats[0].shape[0]
+    if any(P.shape[0] != dim for P in mats):
+        raise DimensionMismatch("projectors have mixed dimensions")
+    if dim == 0:
+        raise InvalidProjectorSet("projectors are 0 x 0")
+    # The sum comes first, so a NaN or infinite entry fails before the checks
+    # below subtract it from itself (numpy warns on inf - inf).
+    if not float(np.max(np.abs(sum(mats) - np.eye(dim)))) <= DENSITY_TOL:
+        raise InvalidProjectorSet(
+            f"projectors do not sum to the identity within {DENSITY_TOL}, or are not finite")
     for i, P in enumerate(mats):
-        if P.shape[0] != dim:
-            raise DimensionMismatch("projectors have mixed dimensions")
-        if float(np.max(np.abs(P - P.conj().T))) > DENSITY_TOL:
+        if not float(np.max(np.abs(P - P.conj().T))) <= DENSITY_TOL:
             raise InvalidProjectorSet(f"projector {i} is not Hermitian within {DENSITY_TOL}")
-        if float(np.max(np.abs(P @ P - P))) > DENSITY_TOL:
+        if not float(np.max(np.abs(P @ P - P))) <= DENSITY_TOL:
             raise InvalidProjectorSet(f"projector {i} is not idempotent within {DENSITY_TOL}")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if float(np.max(np.abs(mats[i] @ mats[j]))) > DENSITY_TOL:
+            if not float(np.max(np.abs(mats[i] @ mats[j]))) <= DENSITY_TOL:
                 raise InvalidProjectorSet(f"projectors {i} and {j} are not orthogonal within {DENSITY_TOL}")
-    total = sum(mats)
-    if float(np.max(np.abs(total - np.eye(dim)))) > DENSITY_TOL:
-        raise InvalidProjectorSet(f"projectors do not sum to the identity within {DENSITY_TOL}")
     return mats
 
 
@@ -245,9 +285,7 @@ def von_neumann(rho) -> float:
 
     Eigenvalues are clamped into [0, 1]; zero eigenvalues contribute zero.
     """
-    m = validate_density(rho)
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return _bits(np.clip(evals, 0.0, 1.0))
+    return _bits(np.clip(_validated(rho).evals, 0.0, 1.0))
 
 
 # ------------------------------------------------------- exact side channel

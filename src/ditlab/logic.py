@@ -47,6 +47,12 @@ from .partitions import (
 #: Default cap on the number of formula evaluations a tautology search may plan.
 DEFAULT_WORK_LIMIT = 10_000_000
 
+#: Deepest nesting :func:`parse` accepts, of parentheses (the parser recurses
+#: on them) and of the tree (``to_text``, ``variables`` and ``evaluate`` recurse
+#: on it); deeper input would exhaust Python's recursion limit.
+MAX_FORMULA_DEPTH = 100
+_TOO_DEEP = f"formula nests deeper than {MAX_FORMULA_DEPTH} levels"
+
 
 class Formula:
     """Base class for formula AST nodes."""
@@ -125,6 +131,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -141,11 +148,15 @@ class _Parser:
         return self.advance()
 
     def formula(self) -> Formula:
-        left = self.or_level()
-        if self.peek()[0] == "->":
+        # A loop, not recursion, so that a long '->' chain cannot exhaust the stack.
+        parts = [self.or_level()]
+        while self.peek()[0] == "->":
             self.advance()
-            return Implies(left, self.formula())
-        return left
+            parts.append(self.or_level())
+        node = parts.pop()
+        while parts:
+            node = Implies(parts.pop(), node)
+        return node
 
     def or_level(self) -> Formula:
         node = self.and_level()
@@ -173,9 +184,13 @@ class _Parser:
             self.advance()
             return Var(text)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_FORMULA_DEPTH:
+                raise FormulaSyntaxError(_TOO_DEEP, pos)
             self.advance()
             node = self.formula()
             self.expect(")")
+            self.depth -= 1
             return node
         raise FormulaSyntaxError(f"expected a formula, found {text or 'end of input'!r}", pos)
 
@@ -187,6 +202,18 @@ def parse(text: str) -> Formula:
     kind, tok_text, pos = p.peek()
     if kind != "end":
         raise FormulaSyntaxError(f"unexpected trailing input {tok_text!r}", pos)
+    # Operator chains are parsed in loops, so the tree can nest deeper than the
+    # parentheses.  k operators take at least 2k + 2 tokens, the end included,
+    # so only a longer formula can be too deep.
+    if len(p.tokens) > 2 * MAX_FORMULA_DEPTH + 2:
+        height, stack = 0, [(node, 0)]
+        while stack:
+            f, h = stack.pop()
+            height = max(height, h)
+            if isinstance(f, (Join, Meet, Implies)):
+                stack += [(f.lhs, h + 1), (f.rhs, h + 1)]
+        if height > MAX_FORMULA_DEPTH:
+            raise FormulaSyntaxError(_TOO_DEEP, 0)
     return node
 
 

@@ -16,14 +16,18 @@ Measurement follows the fundamental theorem: measuring ``F`` decoheres
 exactly its qudits, the eigenvector pairs with different eigenvalues.  So
 :func:`measure` masks in the eigenbasis, ``rho' = U (M o a a^dagger)
 U^dagger`` with ``a = U^dagger psi`` and ``M[j, k] = 1`` iff ``j`` and
-``k`` share an eigenvalue class.
+``k`` share an eigenvalue class.  The private :class:`_Measured` holds the
+state, ``a``, the partition and ``rho'``; passed in place of ``psi`` it is
+reused, so a report builds them once, while the three ``h(F : psi)`` routes
+and the two sides of :func:`quantum_fundamental_check` still run apart.
 
 The two-observable quantities (commuting and not), the spectral
 pair profile for two density matrices, the cross entropy ``1 - tr[rho tau]``
 and the Hamming distance (which coincides with the squared Hilbert-Schmidt
 norm of the difference) follow the same pattern: a combinatorial index-set
 reduction implemented directly, with dense-matrix oracles kept alongside
-for validation.
+for validation.  The density-pair functions also take ``density._Density``
+carriers, validated once; ``tr[rho tau]`` and its expansion still run apart.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -111,10 +116,12 @@ class Observable:
     def from_matrix(cls, mat) -> "Observable":
         """Eigendecompose a matrix that is Hermitian within ``ROUTE_TOL`` into an Observable."""
         m = np.asarray(mat).astype(np.complex128, copy=False)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidObservable(f"expected a square matrix, got shape {m.shape}")
-        if float(np.max(np.abs(m - m.conj().T))) > ROUTE_TOL:
-            raise InvalidObservable("matrix is not Hermitian within tolerance")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise InvalidObservable(f"expected a nonempty square matrix, got shape {m.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry leaves a NaN gap
+            gap = float(np.max(np.abs(m - m.conj().T)))
+        if not gap <= ROUTE_TOL:
+            raise InvalidObservable("matrix is not finite and Hermitian within tolerance")
         vals, vecs = np.linalg.eigh(m)
         return cls(tuple(float(v) for v in vals), vecs)
 
@@ -136,8 +143,12 @@ class Observable:
 
         Exact equality when every eigenvalue is an int or Fraction;
         otherwise values within ``EIGENVALUE_GROUP_TOL`` of each other
-        (transitively) share a class.
+        (transitively) share a class.  Grouped on the first call only.
         """
+        return self._classes
+
+    @cached_property
+    def _classes(self) -> Partition:
         n = self.dim
         if all(classical._is_exact(v) for v in self.eigenvalues):
             groups = {}
@@ -195,6 +206,30 @@ class ObservableStateEntropy:
         return self.value
 
 
+@dataclass(frozen=True)
+class _Measured:
+    """``F`` measured on the unit state ``v``: its amplitudes, the partition and ``rho'``."""
+
+    v: np.ndarray
+    amp: np.ndarray
+    part: Partition
+    rho_prime: np.ndarray
+
+
+def _measured(F: Observable, psi) -> _Measured:
+    """The measurement carrier of ``psi``; a carrier passes through unchanged."""
+    if isinstance(psi, _Measured):
+        return psi
+    v = _state(psi, F.dim)
+    u = F.basis_matrix()
+    amp = u.conj().T @ v
+    part = F.eigenvalue_partition()
+    # The qudit mask: M[j, k] = 1 iff j and k share a block of part.
+    ids = np.array(part._block_of)
+    out = u @ ((ids[:, None] == ids) * np.outer(amp, amp.conj())) @ u.conj().T
+    return _Measured(v, amp, part, (out + out.conj().T) / 2)
+
+
 def h_observable_state(F: Observable, psi) -> ObservableStateEntropy:
     """Quantum logical entropy of measuring ``F`` on ``psi``.
 
@@ -205,27 +240,18 @@ def h_observable_state(F: Observable, psi) -> ObservableStateEntropy:
     :class:`InternalInconsistency` if any two routes disagree beyond
     ``ROUTE_TOL``.
     """
-    amp = _state(psi, F.dim, F.basis_matrix())
-    p = np.abs(amp) ** 2
-    part = F.eigenvalue_partition()
+    m = _measured(F, psi)
+    p = np.abs(m.amp) ** 2
     # With one block on the second side, t[1][0] sums p_j p_k over the qudits.
-    via_pairs = float(classical._region_table(p, part._block_of, [0] * F.dim)[1][0])
+    via_pairs = float(classical._region_table(p, m.part._block_of, [0] * F.dim)[1][0])
     via_partition = float(
-        classical.logical_entropy(part, ProbDist(tuple(float(x) for x in p / p.sum())))
+        classical.logical_entropy(m.part, ProbDist(tuple(float(x) for x in p / p.sum())))
     )
-    via_measurement = density._entropy(_mask(F, part, amp))
+    via_measurement = density._entropy(m.rho_prime)
     routes = (via_pairs, via_partition, via_measurement)
     _agree("h(F:psi) routes pairs|partition|measurement and partition|measurement|pairs",
            routes, routes[1:] + routes[:1], False, ROUTE_TOL)
     return ObservableStateEntropy(via_pairs, via_pairs, via_partition, via_measurement)
-
-
-def _mask(F: Observable, part: Partition, a: np.ndarray) -> np.ndarray:
-    """``U (M o a a^dagger) U^dagger``, ``M[j, k] = 1`` iff ``j``, ``k`` share a block of ``part``."""
-    ids = np.array(part._block_of)
-    u = F.basis_matrix()
-    out = u @ ((ids[:, None] == ids) * np.outer(a, a.conj())) @ u.conj().T
-    return (out + out.conj().T) / 2
 
 
 def measure(F: Observable, psi) -> np.ndarray:
@@ -235,7 +261,7 @@ def measure(F: Observable, psi) -> np.ndarray:
     ``|psi><psi|`` on pairs of eigenvectors with different eigenvalues are
     zeroed, the rest kept.
     """
-    return _mask(F, F.eigenvalue_partition(), _state(psi, F.dim, F.basis_matrix()))
+    return _measured(F, psi).rho_prime
 
 
 @dataclass(frozen=True)
@@ -256,11 +282,10 @@ def quantum_fundamental_check(F: Observable, psi) -> FundamentalCheck:
     The two numbers are computed independently (trace of the square vs
     entrywise sums) and coincide up to rounding.
     """
-    v = _state(psi, F.dim)
-    rho_before = np.outer(v, v.conj())
-    rho_after = measure(F, v)
-    increase = density._entropy(rho_after) - density._entropy(rho_before)
-    lost = density.decohered_sumsq(rho_before, rho_after)
+    m = _measured(F, psi)
+    rho_before = np.outer(m.v, m.v.conj())
+    increase = density._entropy(m.rho_prime) - density._entropy(rho_before)
+    lost = density.decohered_sumsq(rho_before, m.rho_prime)
     return FundamentalCheck(entropy_increase=increase, decohered_sumsq=lost)
 
 
@@ -490,8 +515,7 @@ def density_pair_profile(rho, tau) -> QuantumProfile:
     small dimensions the spectral quadruple-sum oracle is run alongside and
     disagreement beyond ``ROUTE_TOL`` raises :class:`InternalInconsistency`.
     """
-    lam, mu = (np.clip(np.linalg.eigvalsh((m + m.conj().T) / 2), 0.0, None)
-               for m in map(density.validate_density, (rho, tau)))
+    lam, mu = (np.clip(d.evals, 0.0, None) for d in map(density._validated, (rho, tau)))
     a, b = float(np.sum(lam ** 2)), float(np.sum(mu ** 2))
     return classical._route(
         "density pair profile", "auto",
@@ -501,15 +525,6 @@ def density_pair_profile(rho, tau) -> QuantumProfile:
     )
 
 
-def _density_pair(rho, tau) -> tuple:
-    """The density-pair prologue: validate both matrices, check they share a shape."""
-    r = density.validate_density(rho)
-    t = density.validate_density(tau)
-    if r.shape != t.shape:
-        raise DimensionMismatch(f"shapes {r.shape} and {t.shape} differ")
-    return r, t
-
-
 def quantum_cross_entropy(rho, tau) -> float:
     """``1 - tr[rho tau]``: two draws, one from each matrix, distinguished.
 
@@ -517,10 +532,9 @@ def quantum_cross_entropy(rho, tau) -> float:
     is cross-checked, within ``ROUTE_TOL``, against its eigenbasis overlap
     expansion ``sum_ij lambda_i mu_j |<u_i|v_j>|^2``.
     """
-    r, t = _density_pair(rho, tau)
-    overlap = density._trace_product(r, t)
-    lam, u = np.linalg.eigh((r + r.conj().T) / 2)
-    mu, v = np.linalg.eigh((t + t.conj().T) / 2)
+    r, t = density._pair(rho, tau)
+    overlap = density._trace_product(r.m, t.m)
+    (lam, u), (mu, v) = r.eigh, t.eigh
     gram = np.abs(u.conj().T @ v) ** 2
     expansion = float(lam @ gram @ mu)
     _agree("tr[rho tau] and its overlap expansion", (overlap,), (expansion,), False, ROUTE_TOL)
@@ -529,8 +543,8 @@ def quantum_cross_entropy(rho, tau) -> float:
 
 def hilbert_schmidt_distance(rho, tau) -> float:
     """``tr[(rho - tau)^2]``, the squared Hilbert-Schmidt norm of the gap."""
-    r, t = _density_pair(rho, tau)
-    return density._trace_product(r - t, r - t)
+    r, t = density._pair(rho, tau)
+    return density._trace_product(r.m - t.m, r.m - t.m)
 
 
 def quantum_hamming(rho, tau) -> float:
@@ -540,9 +554,9 @@ def quantum_hamming(rho, tau) -> float:
     which is checked within ``classical.FLOAT_TOL``; nonnegative, and zero
     exactly when the two matrices coincide.
     """
-    r, t = _density_pair(rho, tau)
+    r, t = density._pair(rho, tau)
     tr = density._trace_product
-    d = tr(r, r) + tr(t, t) - 2.0 * tr(r, t)
-    hs = tr(r - t, r - t)
+    d = tr(r.m, r.m) + tr(t.m, t.m) - 2.0 * tr(r.m, t.m)
+    hs = tr(r.m - t.m, r.m - t.m)
     _agree("distance trace form and Hilbert-Schmidt form", (d,), (hs,), False, classical.FLOAT_TOL)
     return d

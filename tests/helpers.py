@@ -104,3 +104,22 @@ def random_observable(rng, n, degenerate=None, min_classes=1, basis="random",
     else:
         u = None
     return Observable(tuple(vals), u)
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name`` so that each call appends the name to the returned list."""
+    calls: list = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def complex_pairs(a) -> list:
+    """An array as nested ``[re, im]`` pairs, the CLI's document format."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()

@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ditlab import classical, cli, quantum
+import helpers
+from ditlab import classical, cli, density, quantum
 from ditlab.classical import JointDist, ProbDist
 from ditlab.partitions import make_partition
 
@@ -189,6 +190,12 @@ def test_tautology_syntax_error_position():
     assert "position" in err
 
 
+def test_tautology_deep_formula_exits_two(tmp_path):
+    f = write_doc(tmp_path, "f.json", {"kind": "formula", "text": "(" * 300 + "p" + ")" * 300})
+    code, out, err = run(["tautology", "--formula", f])
+    assert (code, out) == (2, "") and "nests deeper than" in err
+
+
 def test_tautology_work_limit_exit(monkeypatch):
     monkeypatch.setenv(cli.WORK_LIMIT_ENV, "10")
     code, out, err = run(["tautology", "--expr", "(p & q) -> p"])
@@ -321,6 +328,47 @@ def test_distance_rejects_non_finite_entries(tmp_path, bad):
     for argv in (["--rho", r_f, "--tau", t_f], ["--rho", t_f, "--tau", r_f]):
         code, out, err = run(["distance", *argv])
         assert (code, out) == (3, "") and "invariant violation" in err
+
+
+def _count_builds(monkeypatch, module, name):
+    """Count the calls of ``module.name`` that build a carrier, not pass one through."""
+    real, built = getattr(module, name), []
+
+    def counted(*args):
+        out = real(*args)
+        if out is not args[-1]:
+            built.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, counted)
+    return built
+
+
+def test_each_input_is_validated_and_decomposed_once_per_report(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    r_f = write_doc(tmp_path, "r.json", _density_doc(helpers.random_density(rng, 4)))
+    t_f = write_doc(tmp_path, "t.json", _density_doc(helpers.random_density(rng, 4)))
+    s_f = write_doc(tmp_path, "s.json", {
+        "kind": "state", "amplitudes": helpers.complex_pairs(helpers.random_state(rng, 4))})
+    o_f = write_doc(tmp_path, "o.json", {
+        "kind": "observable", "eigenvalues": [0, 1, 0, 2],
+        "eigenbasis": helpers.complex_pairs(helpers.random_unitary(rng, 4))})
+    counted = {"validations": _count_builds(monkeypatch, density, "_validated"),
+               "rho_primes": _count_builds(monkeypatch, quantum, "_measured")}
+    counted.update((name, helpers.count_calls(monkeypatch, owner, name)) for owner, name in [
+        (np.linalg, "eigvalsh"), (np.linalg, "eigh"), (density, "validate_state"),
+        (quantum.Observable, "eigenvalue_partition")])
+
+    def counts(argv):
+        for calls in counted.values():
+            calls.clear()
+        assert run(argv)[0] == 0
+        return {name: len(calls) for name, calls in counted.items() if calls}
+
+    assert counts(["distance", "--rho", r_f, "--tau", t_f]) == {
+        "validations": 2, "eigvalsh": 2, "eigh": 2}
+    assert counts(["measure", "--state", s_f, "--observable", o_f, "--emit-density"]) == {
+        "validate_state": 1, "rho_primes": 1, "eigenvalue_partition": 1}
 
 
 _ROW = [[0.5, 0.0], [0.0, 0.0]]

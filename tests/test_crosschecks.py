@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import json
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from ditlab import classical, density, errors, logic, quantum
+from ditlab import classical, cli, density, errors, logic, quantum
 from ditlab.classical import JointDist, ProbDist, entropy_profile, twoset_profile
 from ditlab.errors import InternalInconsistency
 from ditlab.partitions import make_partition, top
@@ -80,6 +82,71 @@ def test_qudit_mask_equals_luders_over_eigenspace_projectors(case):
     projs = density.projectors_from_eigenbasis(u, F.eigenvalue_partition())
     reference = density.luders(np.outer(psi, psi.conj()), projs)
     assert np.max(np.abs(measure(F, psi) - reference)) <= 1e-12
+
+
+@st.composite
+def report_inputs(draw):
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (helpers.random_density(rng, n), helpers.random_density(rng, n),
+            Observable(tuple(labels), helpers.random_unitary(rng, n)), helpers.random_state(rng, n))
+
+
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reports")
+
+
+def _cli_report(report_dir, command, documents, *options):
+    argv = [command, *options]
+    for flag, doc in documents.items():
+        path = report_dir / f"{flag}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{flag}", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    assert (cli.main(argv, stdout=out, stderr=err), err.getvalue()) == (0, "")
+    return json.loads(out.getvalue())
+
+
+@given(report_inputs())
+@settings(max_examples=60, deadline=None)
+def test_cli_reports_equal_the_public_functions_bit_for_bit(report_dir, case):
+    """The CLI shares one validated input between quantities; the numbers must not move."""
+    rho, tau, F, psi = case
+    rep = _cli_report(report_dir, "distance", {
+        "rho": {"kind": "density", "matrix": helpers.complex_pairs(rho)},
+        "tau": {"kind": "density", "matrix": helpers.complex_pairs(tau)},
+    })
+    cross, d = quantum.quantum_cross_entropy(rho, tau), quantum.quantum_hamming(rho, tau)
+    hs = quantum.hilbert_schmidt_distance(rho, tau)
+    assert rep["quantities"] == {
+        "h_rho": density.dm_logical_entropy(rho), "h_tau": density.dm_logical_entropy(tau),
+        "cross_entropy": cross, "hamming_distance": d, "hilbert_schmidt": hs,
+    }
+    assert {k: v["residual"] for k, v in rep["identities_checked"].items()} == {
+        "hamming_equals_hilbert_schmidt": abs(d - hs),
+        "cross_entropy_symmetric": abs(cross - quantum.quantum_cross_entropy(tau, rho)),
+        "nonnegative": max(0.0, -d),
+    }
+
+    rep = _cli_report(report_dir, "measure", {
+        "state": {"kind": "state", "amplitudes": helpers.complex_pairs(psi)},
+        "observable": {"kind": "observable", "eigenvalues": list(F.eigenvalues),
+                       "eigenbasis": helpers.complex_pairs(F.eigenbasis)},
+    }, "--emit-density")
+    h, check = quantum.h_observable_state(F, psi), quantum.quantum_fundamental_check(F, psi)
+    assert rep["quantities"] == {
+        "h_F_psi": h.value, "h_via_partition": h.via_partition,
+        "h_via_measurement": h.via_measurement, "entropy_increase": check.entropy_increase,
+        "decohered_sumsq": check.decohered_sumsq,
+    }
+    assert {k: v["residual"] for k, v in rep["identities_checked"].items()} == {
+        "route_partition_agrees": abs(h.value - h.via_partition),
+        "route_measurement_agrees": abs(h.value - h.via_measurement),
+        "fundamental_theorem": check.residual,
+    }
+    assert rep["matrices"]["rho_prime"] == helpers.complex_pairs(measure(F, psi))
 
 
 def test_witness_recheck_raises_when_reevaluation_disagrees(monkeypatch):

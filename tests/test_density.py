@@ -37,6 +37,7 @@ from ditlab.errors import (
     ZeroProbabilityEvent,
 )
 from ditlab.partitions import bottom, inditset, make_partition, top
+from ditlab.quantum import density_pair_profile
 
 F = Fraction
 
@@ -218,6 +219,24 @@ def test_luders_validates_projectors():
         luders(rho, validate_projectors(projectors_from_partition(top(3))))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("projs", [
+    [[[math.nan]]],
+    [[[math.inf]]],
+    [np.zeros((0, 0))],
+    [np.diag([1.0, 0.0]), np.diag([0.0, math.nan])],
+    [np.diag([1.0, 0.0]), np.diag([0.0, math.inf])],
+], ids=["nan", "inf", "0x0", "nan-second", "inf-second"])
+def test_projector_validation_rejects_non_finite_and_empty_matrices(projs):
+    with pytest.raises(InvalidProjectorSet):
+        validate_projectors(projs)
+
+
+def test_luders_rejects_a_nan_projector():
+    with pytest.raises(InvalidProjectorSet):
+        luders([[1.0]], [[[math.nan]]])
+
+
 def test_fundamental_identity_random_instances():
     rng = np.random.default_rng(89)
     for _ in range(40):
@@ -234,6 +253,19 @@ def test_fundamental_identity_random_instances():
 
 
 # ------------------------------------------------------------ von neumann
+
+def test_spectra_come_from_the_validation_eigvalsh_alone(monkeypatch):
+    """One ``eigvalsh`` per input matrix, and no ``eigh``."""
+    eigvalsh = helpers.count_calls(monkeypatch, np.linalg, "eigvalsh")
+    eigh = helpers.count_calls(monkeypatch, np.linalg, "eigh")
+    rng = np.random.default_rng(3)
+    rho, tau = helpers.random_density(rng, 5), helpers.random_density(rng, 5)
+    for f, args in ((dm_logical_entropy, (rho,)), (von_neumann, (rho,)),
+                    (density_pair_profile, (rho, tau))):
+        eigvalsh.clear()
+        f(*args)
+        assert (len(eigvalsh), len(eigh)) == (len(args), 0), f.__name__
+
 
 def test_von_neumann_worked_values():
     assert von_neumann(np.diag([1.0, 0.0, 0.0])) == 0.0

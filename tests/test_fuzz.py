@@ -1,10 +1,12 @@
-"""Fuzz ``ditlab measure`` and ``ditlab distance`` with random and mutated documents.
+"""Fuzz ``ditlab measure``, ``distance`` and ``tautology`` with random and mutated documents.
 
 Whatever the document holds (ragged rows, booleans, strings, huge integers,
 NaN, infinities, arrays nested too deep or not deep enough), ``cli.main``
 must return an exit code in {0, 2, 3, 4} without raising or warning, and a
 report printed with exit code 0 must be strict JSON: no ``NaN`` or
-``Infinity``.
+``Infinity``.  Formula documents also include formulas nested up to four
+times deeper than ``logic.MAX_FORMULA_DEPTH``; the tautology runs search
+universes of at most 3 points under a small work limit.
 
 ``entropy`` documents (``dist`` and ``joint``) are not fuzzed.  A NaN weight
 still passes ``ProbDist``, so ``ditlab entropy`` prints ``"h_pi":nan`` and
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditlab import cli
+from ditlab import cli, logic
 
 LEAVES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -101,6 +103,44 @@ def distance_documents(draw):
     return docs
 
 
+#: Token lists of a few formulas, edited by ``mutated`` and joined back into text.
+FORMULA_TOKENS = (
+    ["(", "s", "&", "(", "s", "->", "p", ")", ")", "->", "p"],
+    ["p", "|", "q"],
+    ["(", "p", "->", "q", ")", "->", "(", "q", "->", "p", ")"],
+    ["0", "->", "x_1", "&", "1"],
+)
+
+
+def _formula_text(value):
+    """A token list as text; any other value is left for the schema check."""
+    if not isinstance(value, list):
+        return value
+    return " ".join(_formula_text(v) if isinstance(v, list) else str(v) for v in value)
+
+
+@st.composite
+def nested_formulas(draw):
+    depth = draw(st.integers(0, 4 * logic.MAX_FORMULA_DEPTH))
+    op = draw(st.sampled_from(["|", "&", "->"]))
+    return draw(st.sampled_from([
+        "(" * depth + "p" + ")" * depth,
+        f" {op} ".join(["p"] * (depth + 1)),
+        "(" * depth + "p" + f" {op} q)" * depth,
+        f"(p {op} " * depth + "q" + ")" * depth,
+    ]))
+
+
+@st.composite
+def formula_documents(draw):
+    if draw(st.booleans()):
+        text = draw(nested_formulas())
+    else:
+        tokens = draw(st.sampled_from(FORMULA_TOKENS))
+        text = _formula_text(draw(mutated(list(tokens))))
+    return [("--formula", {"kind": "formula", "text": text})]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -110,8 +150,15 @@ def doc_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _run(doc_dir, command, documents):
-    argv = [command]
+@pytest.fixture(scope="module")
+def small_work_limit():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(cli.WORK_LIMIT_ENV, "300")
+        yield
+
+
+def _run(doc_dir, command, documents, *options):
+    argv = [command, *options]
     for flag, doc in documents:
         path = doc_dir / f"{flag.strip('-')}.json"
         path.write_text(json.dumps(doc))
@@ -135,3 +182,10 @@ def test_measure_documents_exit_cleanly(doc_dir, documents):
 @settings(max_examples=300, deadline=None)
 def test_distance_documents_exit_cleanly(doc_dir, documents):
     _run(doc_dir, "distance", documents)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(formula_documents(), st.sampled_from(["2", "3"]))
+@settings(max_examples=300, deadline=None)
+def test_formula_documents_exit_cleanly(doc_dir, small_work_limit, documents, max_n):
+    _run(doc_dir, "tautology", documents, "--max-n", max_n)

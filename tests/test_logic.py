@@ -90,6 +90,29 @@ def test_to_text_round_trip_examples():
         assert parse(to_text(f)) == f
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 300 + "p" + ")" * 300,
+    " -> ".join(["p"] * 3000),
+    " | ".join(["p"] * 3000),
+    " & ".join(["p"] * 3000),
+    "(p -> " * 300 + "q" + ")" * 300,
+], ids=["parentheses", "implication-chain", "join-chain", "meet-chain", "nested-implications"])
+def test_parse_refuses_formulas_nested_past_the_bound(text):
+    with pytest.raises(FormulaSyntaxError, match="nests deeper than"):
+        parse(text)
+
+
+def test_formulas_at_the_depth_bound_parse_print_and_evaluate():
+    d = logic.MAX_FORMULA_DEPTH
+    for text in ["(" * d + "p" + ")" * d, " -> ".join(["p"] * (d + 1)),
+                 " | ".join(["p"] * (d + 1)), "(p & " * d + "q" + ")" * d]:
+        f = parse(text)
+        assert parse(to_text(f)) == f
+        assert variables(f) and evaluate(f, {"p": top(2), "q": top(2)}, 2) == top(2)
+    with pytest.raises(FormulaSyntaxError):
+        parse(" | ".join(["p"] * (d + 2)))
+
+
 def test_variables_first_appearance_order():
     assert variables(parse("(q | p) & q -> r")) == ["q", "p", "r"]
     assert variables(parse("0 | 1")) == []

@@ -91,6 +91,23 @@ def test_observable_from_matrix_roundtrip():
     assert obs.eigenvalue_partition().n_blocks == 3
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mat", [
+    np.zeros((0, 0)),
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[0.0, np.inf], [np.inf, 0.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+], ids=["0x0", "inf-diagonal", "inf-offdiagonal", "nan"])
+def test_observable_from_matrix_rejects_empty_and_non_finite_matrices(mat):
+    with pytest.raises(InvalidObservable):
+        Observable.from_matrix(mat)
+
+
+def test_eigenvalues_are_grouped_once():
+    obs = Observable((0.5, 1.0, 0.5))
+    assert obs.eigenvalue_partition() is obs.eigenvalue_partition()
+
+
 def test_eigenvalue_partition_exact_grouping():
     obs = Observable((1, 0, 1, 0, 1, 0))
     assert obs.eigenvalue_partition() == make_partition(6, [[0, 2, 4], [1, 3, 5]])
