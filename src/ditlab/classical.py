@@ -19,6 +19,10 @@ marginals and cells; ``_six`` then subtracts out the conditional and mutual
 parts.  The brute-force oracle, ``_region_table``, sums ``w w'`` over
 ordered pairs of cells into a 2x2 table indexed by which partitions
 distinguish the pair; each quantity is a region of it (``_REGION_CELLS``).
+It is a numpy kernel over row chunks of ``w w^T`` that adds each region
+left to right in the order of the double loop over cells, so float
+results are those of that loop to the bit; exact weights run on integer
+numerators over one common denominator, so exact results stay exact.
 :func:`entropy_profile` fills the same table from explicit ditsets.
 
 Arithmetic is exact when the weights are :class:`fractions.Fraction` (or
@@ -35,7 +39,9 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence, Union
 
-from .errors import InvalidDistribution, LengthMismatch, UniverseMismatch, _agree
+import numpy as np
+
+from .errors import BoundExceeded, InvalidDistribution, LengthMismatch, UniverseMismatch, _agree
 from .partitions import (
     DITSET_MATERIALIZE_BOUND,
     PairSet,
@@ -53,6 +59,14 @@ FLOAT_TOL = 1e-12
 #: Most ordered pairs of cells the brute-force region oracle is run on.
 REGION_ORACLE_BOUND = 10 ** 6
 
+#: Most decimal digits of the common denominator of a distribution's exact
+#: weights; every exact sum and region total is taken over it.
+EXACT_DENOMINATOR_DIGITS = 10_000
+
+#: Most cell pairs in one row chunk of the region oracle, so each of its
+#: temporaries stays near 0.5 MB.
+_REGION_CHUNK = 2 ** 16
+
 #: The six profile quantities, in field order, as regions of the table
 #: ``t[first partition distinguishes][second distinguishes]``: first, second,
 #: joint, first only, second only, both.
@@ -68,6 +82,24 @@ _REGION_CELLS = (
 
 def _is_exact(x: Number) -> bool:
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
+
+
+def _numerators(weights) -> tuple:
+    """Exact weights as integer numerators over their common denominator ``d``.
+
+    Returns ``(numerators, d)``.  ``d`` is grown one weight at a time, and
+    :class:`BoundExceeded` is raised as soon as it has more than
+    ``EXACT_DENOMINATOR_DIGITS`` digits, before any numerator is formed.
+    """
+    d = 1
+    for x in weights:
+        d = math.lcm(d, x.denominator)
+        # 10**k has more than 3k bits, so the cheap test comes first.
+        if d.bit_length() > 3 * EXACT_DENOMINATOR_DIGITS and d >= 10 ** EXACT_DENOMINATOR_DIGITS:
+            raise BoundExceeded(
+                f"exact weights need a common denominator of more than "
+                f"{EXACT_DENOMINATOR_DIGITS} digits")
+    return [x.numerator * (d // x.denominator) for x in weights], d
 
 
 @dataclass(frozen=True)
@@ -89,16 +121,19 @@ class ProbDist:
         for x in w:
             if x < 0:
                 raise InvalidDistribution(f"negative weight {x}")
-        total = sum(w)
         if self.is_exact:
+            nums, d = _numerators(w)
+            total = Fraction(sum(nums), d)
             if total != 1:
                 try:
                     message = f"weights sum to {total}, expected 1"
                 except ValueError:  # more digits than Python converts to text
                     message = "weights do not sum to 1"
                 raise InvalidDistribution(message)
-        elif abs(total - 1) > FLOAT_TOL:
-            raise InvalidDistribution(f"weights sum to {total!r}, expected 1 within {FLOAT_TOL}")
+        else:
+            total = sum(w)
+            if abs(total - 1) > FLOAT_TOL:
+                raise InvalidDistribution(f"weights sum to {total!r}, expected 1 within {FLOAT_TOL}")
 
     @property
     def size(self) -> int:
@@ -225,13 +260,48 @@ def _region_table(weights, ids_a, ids_b) -> list:
     ``w w'`` over the pairs whose a-blocks differ (``da``) and whose
     b-blocks differ (``db``); :func:`_regions` reads the six quantities off
     it.
+
+    Every pair's product is formed, in row chunks of ``w w^T`` of at most
+    ``_REGION_CHUNK`` pairs, and each region's products are added to its
+    running total by a cumulative sum (``np.add.accumulate``, which is what
+    ``np.cumsum`` runs).  That is a strict left-to-right fold in
+    row-major pair order, so float results are bit-for-bit those of the
+    double loop over cells.  Exact weights run on integer numerators over
+    their common denominator ``D`` (int64 while no partial sum can
+    overflow it, Python ints otherwise), and each total is one
+    ``Fraction(total, D^2)``.  A region with no pair stays the int 0.
     """
     cells = [(w, a, b) for w, a, b in zip(weights, ids_a, ids_b) if w]
-    t = [[0, 0], [0, 0]]
-    for w, a, b in cells:
-        for w2, a2, b2 in cells:
-            t[a != a2][b != b2] += w * w2
-    return t
+    if not cells:
+        return [[0, 0], [0, 0]]
+    w, a, b = zip(*cells)
+    if all(map(_is_exact, w)):
+        nums, d = _numerators(w)
+        # Every partial sum of products is at most (sum |n|)^2.
+        fits = sum(map(abs, nums)) ** 2 < 2 ** 63
+        w = np.array(nums, dtype=np.int64 if fits else object)
+
+        def scalar(total):
+            return Fraction(int(total), d * d)
+    else:
+        scalar = np.float64 if any(isinstance(x, np.generic) for x in w) else float
+        w = np.array(w, dtype=np.float64)
+    a, b = np.array(a), np.array(b)
+    t = [None] * 4
+    step = max(1, _REGION_CHUNK // len(w))
+    for r in range(0, len(w), step):
+        rows = slice(r, r + step)
+        pairs = w[rows, None] * w
+        code = (a[rows, None] != a).view(np.uint8) << 1  # 2 (a differs) + (b differs)
+        code |= b[rows, None] != b
+        for k in range(4):
+            v = pairs[code == k]
+            if v.size:
+                # The loop's first step is 0 + w w', which turns -0.0 into 0.0.
+                v[0] += 0 if t[k] is None else t[k]
+                t[k] = np.add.accumulate(v)[-1]
+    t = [0 if x is None else scalar(x) for x in t]
+    return [t[:2], t[2:]]
 
 
 def _regions(cls, t):

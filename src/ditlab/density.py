@@ -196,7 +196,7 @@ def validate_projectors(projs) -> list:
 
     Each gap must be ``<= DENSITY_TOL``, so a NaN gap fails too.
     """
-    if not projs:
+    if len(projs) == 0:  # not ``not projs``: a stacked (k, n, n) array has no truth value
         raise InvalidProjectorSet("empty projector set")
     mats = [_as_square_matrix(P) for P in projs]
     dim = mats[0].shape[0]

@@ -106,6 +106,16 @@ def random_observable(rng, n, degenerate=None, min_classes=1, basis="random",
     return Observable(tuple(vals), u)
 
 
+def region_table_loop(weights, ids_a, ids_b) -> list:
+    """Reference for ``classical._region_table``: the double loop over ordered cell pairs."""
+    cells = [(w, a, b) for w, a, b in zip(weights, ids_a, ids_b) if w]
+    t = [[0, 0], [0, 0]]
+    for w, a, b in cells:
+        for w2, a2, b2 in cells:
+            t[a != a2][b != b2] += w * w2
+    return t
+
+
 def count_calls(monkeypatch, owner, name) -> list:
     """Wrap ``owner.name`` so that each call appends the name to the returned list."""
     calls: list = []

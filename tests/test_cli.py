@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -527,3 +528,15 @@ def test_invalid_distribution_with_a_huge_total_exits_three(tmp_path):
     })
     code, out, err = run(["entropy", "--pi", part, "--p", dist])
     assert (code, out) == (3, "") and "do not sum to 1" in err
+
+
+def test_distribution_with_a_runaway_denominator_exits_four_fast(tmp_path):
+    """Each denominator parses, but their common denominator grows past the bound."""
+    part = write_doc(tmp_path, "pi.json", {"kind": "partition", "n": 80, "blocks": [list(range(80))]})
+    dist = write_doc(tmp_path, "p.json", {
+        "kind": "dist", "weights": [f"1/{10 ** 4000 + 2 * i + 1}" for i in range(80)],
+    })
+    start = time.perf_counter()
+    code, out, err = run(["entropy", "--pi", part, "--p", dist])
+    assert (code, out) == (4, "") and "common denominator" in err
+    assert time.perf_counter() - start < 0.5

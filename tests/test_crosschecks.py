@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import astuple
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -63,6 +65,81 @@ def test_spectral_oracle_equals_top_top_two_set_regions(lam, mu):
     table = twoset_profile(top(len(lam)), top(len(mu)), joint, "regions")
     for a, b in zip(astuple(brute), astuple(table)):
         assert abs(a - b) <= 1e-12
+
+
+# ------------------------------------------------ the region kernel vs the loop
+
+def _same(x, y):
+    """Equal, of one type, and with one sign, so -0.0 and 0.0 differ."""
+    return type(x) is type(y) and x == y and math.copysign(1, x) == math.copysign(1, y)
+
+
+@st.composite
+def float_cells(draw):
+    n = draw(st.integers(1, 40))
+    # Tiny and negative weights make products that round to +-0.0.
+    value = st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(-1e-160, 1e-160))
+    weights = draw(st.lists(value, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights = list(np.array(weights))
+    ids = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    return weights, draw(ids), draw(ids)
+
+
+@given(float_cells(), st.integers(1, 64))
+@example(([1e-170, -1e-170], [0, 1], [0, 1]), 1)  # t[1][1] holds two -0.0 products only
+@settings(max_examples=300, deadline=None)
+def test_region_kernel_equals_the_loop_bit_for_bit_on_float_weights(cells, chunk):
+    with mock.patch.object(classical, "_REGION_CHUNK", chunk):
+        got = classical._region_table(*cells)
+    want = helpers.region_table_loop(*cells)
+    assert all(_same(got[i][j], want[i][j]) for i in (0, 1) for j in (0, 1)), (got, want)
+
+
+@st.composite
+def exact_cells(draw):
+    n = draw(st.integers(1, 30))
+    # Denominators up to 2**40 put D^2, and the sums, past int64.
+    top_den = draw(st.sampled_from([12, 2 ** 40]))
+    value = st.builds(Fraction, st.integers(0, 9), st.integers(1, top_den)) | st.integers(0, 3)
+    ids = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    return draw(st.lists(value, min_size=n, max_size=n)), draw(ids), draw(ids)
+
+
+@given(exact_cells(), st.integers(1, 64))
+@settings(max_examples=200, deadline=None)
+def test_region_kernel_equals_the_loop_on_exact_weights(cells, chunk):
+    with mock.patch.object(classical, "_REGION_CHUNK", chunk):
+        assert classical._region_table(*cells) == helpers.region_table_loop(*cells)
+
+
+def test_region_kernel_sums_past_int64_in_python_ints():
+    weights = [Fraction(1, 2 ** 32 + 1), Fraction(1, 2 ** 32 + 3), Fraction(5, 7)]
+    d = math.lcm(*(w.denominator for w in weights))
+    assert d * d >= 2 ** 63
+    t = classical._region_table(weights, [0, 0, 1], [0, 1, 1])
+    assert t == helpers.region_table_loop(weights, [0, 0, 1], [0, 1, 1])
+    assert all(isinstance(v, Fraction) for row in t for v in row)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257])
+def test_region_kernel_at_the_chunk_boundary(n):
+    """256 cells fill one chunk of 2**16 pairs exactly."""
+    assert classical._REGION_CHUNK == 256 ** 2
+    rng = np.random.default_rng(n)
+    weights = [float(x) for x in rng.random(n)]
+    ids_a, ids_b = rng.integers(0, 5, n).tolist(), rng.integers(0, 3, n).tolist()
+    want = helpers.region_table_loop(weights, ids_a, ids_b)
+    got = classical._region_table(weights, ids_a, ids_b)
+    assert all(_same(got[i][j], want[i][j]) for i in (0, 1) for j in (0, 1))
+
+
+@pytest.mark.parametrize("weight", [0.375, np.float64(0.375), Fraction(3, 8)])
+def test_region_kernel_with_a_single_nonzero_weight(weight):
+    weights = [0.0] * 5 + [weight] + [0] * 5
+    t = classical._region_table(weights, range(11), range(11))
+    assert t == helpers.region_table_loop(weights, range(11), range(11)) == [[weight * weight, 0], [0, 0]]
+    assert type(t[0][0]) is type(weight) and [type(v) for v in t[0][1:] + t[1]] == [int] * 3
 
 
 @st.composite
@@ -317,6 +394,18 @@ def test_each_oracle_runs_up_to_its_cutoff_and_not_above(oracles_refused):
             run()
     for run in above:
         run()
+
+
+@pytest.mark.parametrize("dim, runs", [(31, 1), (32, 0)])
+def test_region_kernel_runs_at_dim_31_and_not_at_dim_32(monkeypatch, dim, runs):
+    """The quantum oracles go through ``classical._region_table`` up to their cut-off."""
+    calls = helpers.count_calls(monkeypatch, classical, "_region_table")
+    quantum.density_pair_profile(*_densities(dim))
+    assert len(calls) == runs
+    rng = np.random.default_rng(dim)
+    F, G = (helpers.random_observable(rng, dim) for _ in range(2))
+    quantum.noncommuting_profile(F, G, helpers.random_state(rng, dim * dim))
+    assert len(calls) == 2 * runs
 
 
 def test_unknown_method_raises_value_error():

@@ -232,6 +232,17 @@ def test_projector_validation_rejects_non_finite_and_empty_matrices(projs):
         validate_projectors(projs)
 
 
+def test_stacked_projector_arrays_are_validated_like_lists():
+    stacked = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    assert [P.tolist() for P in validate_projectors(stacked)] == stacked.tolist()
+    rho = np.array([[0.5, 0.5], [0.5, 0.5]])
+    assert np.array_equal(luders(rho, stacked), luders(rho, list(stacked)))
+    with pytest.raises(InvalidProjectorSet, match="empty"):
+        validate_projectors(np.zeros((0, 2, 2)))
+    with pytest.raises(InvalidProjectorSet, match="sum to the identity"):
+        validate_projectors(stacked[:1])
+
+
 def test_luders_rejects_a_nan_projector():
     with pytest.raises(InvalidProjectorSet):
         luders([[1.0]], [[[math.nan]]])
