@@ -297,6 +297,8 @@ def cmd_entropy(args) -> dict:
 def cmd_tautology(args) -> dict:
     if (args.expr is None) == (args.formula is None):
         raise InputSchemaError("tautology: provide exactly one of --expr or --formula")
+    if args.max_n < 2:
+        raise InputSchemaError(f"tautology: --max-n must be >= 2, got {args.max_n}")
     if args.expr is not None:
         text = args.expr
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -33,6 +33,7 @@ import numpy as np
 from .classical import Number, ProbDist, _bits, block_probabilities
 from .errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidDensityMatrix,
     InvalidProjectorSet,
     InvalidStateVector,
@@ -129,14 +130,19 @@ def rho_event(indices: Sequence[int], p: ProbDist) -> np.ndarray:
     """Density matrix of an event: entries ``sqrt(p_j p_k)/Pr(S)`` on S x S.
 
     A rank-one projector onto the unit vector with amplitudes
-    ``sqrt(p_j/Pr(S))`` on the event.  Raises :class:`ZeroProbabilityEvent`
-    when the event carries no probability.
+    ``sqrt(p_j/Pr(S))`` on the event.  Raises :class:`IndexOutOfRange` for
+    an index that is not an int in ``range(p.size)`` and
+    :class:`ZeroProbabilityEvent` when the event carries no probability.
     """
+    n = p.size
+    indices = list(indices)
+    for j in indices:
+        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < n:
+            raise IndexOutOfRange(f"event index {j!r} outside universe of size {n}")
     idx = sorted(set(indices))
     pr = p.prob(idx)
     if pr == 0:
         raise ZeroProbabilityEvent("cannot condition on an event of probability zero")
-    n = p.size
     amps = np.zeros(n)
     for j in idx:
         amps[j] = math.sqrt(float(p.weights[j]) / float(pr))

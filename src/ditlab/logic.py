@@ -14,6 +14,11 @@ Grammar (``->`` associates to the right and binds loosest, ``&`` tightest)::
     or      := and ('|' and)*
     and     := atom ('&' atom)*
     atom    := '0' | '1' | IDENT | '(' formula ')'
+
+:func:`parse` does not recurse: one operator-precedence loop refuses each
+parenthesis or node nested past :data:`MAX_FORMULA_DEPTH` as it is read or
+built, which keeps the recursive ``to_text``, ``variables`` and ``evaluate``
+within that bound.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .partitions import (
     Universe,
     UniverseLike,
     _as_universe,
-    bell_number,
+    _bell_numbers,
     bottom,
     enumerate_partitions,
     implication,
@@ -47,9 +52,9 @@ from .partitions import (
 #: Default cap on the number of formula evaluations a tautology search may plan.
 DEFAULT_WORK_LIMIT = 10_000_000
 
-#: Deepest nesting :func:`parse` accepts, of parentheses (the parser recurses
-#: on them) and of the tree (``to_text``, ``variables`` and ``evaluate`` recurse
-#: on it); deeper input would exhaust Python's recursion limit.
+#: Deepest nesting :func:`parse` accepts, of parentheses and of the tree.  The
+#: parser checks it as each node is built, and it keeps the recursive
+#: ``to_text``, ``variables`` and ``evaluate`` within Python's recursion limit.
 MAX_FORMULA_DEPTH = 100
 _TOO_DEEP = f"formula nests deeper than {MAX_FORMULA_DEPTH} levels"
 
@@ -95,7 +100,10 @@ class Implies(Formula):
 
 # ------------------------------------------------------------------- parsing
 
-_PUNCT = ("->", "(", ")", "|", "&", "0", "1")
+#: How tightly each connective binds, and the node it builds.
+_BINDS = {"->": 1, "|": 2, "&": 3}
+_NODES = {"->": Implies, "|": Join, "&": Meet}
+_SYMBOLS = {node: op for op, node in _NODES.items()}
 
 
 def _tokenize(text: str):
@@ -126,95 +134,47 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return self.advance()
-
-    def formula(self) -> Formula:
-        # A loop, not recursion, so that a long '->' chain cannot exhaust the stack.
-        parts = [self.or_level()]
-        while self.peek()[0] == "->":
-            self.advance()
-            parts.append(self.or_level())
-        node = parts.pop()
-        while parts:
-            node = Implies(parts.pop(), node)
-        return node
-
-    def or_level(self) -> Formula:
-        node = self.and_level()
-        while self.peek()[0] == "|":
-            self.advance()
-            node = Join(node, self.and_level())
-        return node
-
-    def and_level(self) -> Formula:
-        node = self.atom()
-        while self.peek()[0] == "&":
-            self.advance()
-            node = Meet(node, self.atom())
-        return node
-
-    def atom(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "0":
-            self.advance()
-            return Const0()
-        if kind == "1":
-            self.advance()
-            return Const1()
-        if kind == "ident":
-            self.advance()
-            return Var(text)
-        if kind == "(":
-            self.depth += 1
-            if self.depth > MAX_FORMULA_DEPTH:
-                raise FormulaSyntaxError(_TOO_DEEP, pos)
-            self.advance()
-            node = self.formula()
-            self.expect(")")
-            self.depth -= 1
-            return node
-        raise FormulaSyntaxError(f"expected a formula, found {text or 'end of input'!r}", pos)
-
-
 def parse(text: str) -> Formula:
     """Parse formula text into an AST.  Raises :class:`FormulaSyntaxError`."""
-    p = _Parser(text)
-    node = p.formula()
-    kind, tok_text, pos = p.peek()
-    if kind != "end":
-        raise FormulaSyntaxError(f"unexpected trailing input {tok_text!r}", pos)
-    # Operator chains are parsed in loops, so the tree can nest deeper than the
-    # parentheses.  k operators take at least 2k + 2 tokens, the end included,
-    # so only a longer formula can be too deep.
-    if len(p.tokens) > 2 * MAX_FORMULA_DEPTH + 2:
-        height, stack = 0, [(node, 0)]
-        while stack:
-            f, h = stack.pop()
-            height = max(height, h)
-            if isinstance(f, (Join, Meet, Implies)):
-                stack += [(f.lhs, h + 1), (f.rhs, h + 1)]
-        if height > MAX_FORMULA_DEPTH:
-            raise FormulaSyntaxError(_TOO_DEEP, 0)
-    return node
+    done: list = []     # finished subformulas, each with its height
+    pending: list = []  # connectives and open parentheses, each with its position
+    opened = 0
+    want_operand = True
+    for kind, tok, pos in _tokenize(text):
+        if want_operand:
+            if kind == "(":
+                opened += 1
+                if opened > MAX_FORMULA_DEPTH:
+                    raise FormulaSyntaxError(_TOO_DEEP, pos)
+                pending.append((kind, pos))
+            elif kind in ("0", "1", "ident"):
+                done.append((Const0() if kind == "0" else Const1() if kind == "1" else Var(tok), 0))
+                want_operand = False
+            else:
+                raise FormulaSyntaxError(f"expected a formula, found {tok or 'end of input'!r}", pos)
+            continue
+        # Reduce the pending connectives that bind tighter, and those that
+        # bind as tight unless the arriving one is the right-associative '->'.
+        binds = _BINDS.get(kind, 0)
+        while pending and pending[-1][0] != "(" and _BINDS[pending[-1][0]] >= binds + (kind == "->"):
+            op, at = pending.pop()
+            (rhs, right), (lhs, left) = done.pop(), done.pop()
+            height = max(left, right) + 1
+            if height > MAX_FORMULA_DEPTH:
+                raise FormulaSyntaxError(_TOO_DEEP, at)
+            done.append((_NODES[op](lhs, rhs), height))
+        if binds:
+            pending.append((kind, pos))
+            want_operand = True
+        elif kind == ")" and opened:
+            pending.pop()
+            opened -= 1
+        elif kind == "end" and not opened:
+            return done[0][0]
+        elif opened:
+            raise FormulaSyntaxError(f"expected ')', found {tok or 'end of input'!r}", pos)
+        else:
+            raise FormulaSyntaxError(f"unexpected trailing input {tok!r}", pos)
 
 
 def to_text(f: Formula) -> str:
@@ -225,9 +185,7 @@ def to_text(f: Formula) -> str:
         return "0"
     if isinstance(f, Const1):
         return "1"
-    ops = {Join: "|", Meet: "&", Implies: "->"}
-    op = ops[type(f)]
-    return f"({to_text(f.lhs)} {op} {to_text(f.rhs)})"
+    return f"({to_text(f.lhs)} {_SYMBOLS[type(f)]} {to_text(f.rhs)})"
 
 
 def variables(f: Formula) -> list:
@@ -307,8 +265,20 @@ class TautologyVerdict:
 
 def planned_evaluations(f: Formula, max_n: int) -> int:
     """Number of formula evaluations a search up to ``max_n`` would perform."""
-    k = len(variables(f))
-    return sum(bell_number(n) ** k for n in range(2, max_n + 1))
+    return _planned(len(variables(f)), max_n, float("inf"))
+
+
+def _planned(k: int, max_n: int, stop: float) -> int:
+    """Evaluations over ``k`` variables on sizes 2..``max_n``, summed only
+    until the sum passes ``stop``."""
+    if k == 0:
+        return max(max_n - 1, 0)
+    total = 0
+    for bell in itertools.islice(_bell_numbers(), 2, max_n + 1):
+        total += bell ** k
+        if total > stop:
+            break
+    return total
 
 
 def check_tautology(
@@ -322,17 +292,17 @@ def check_tautology(
     anything other than the all-singletons partition, otherwise a
     tautology-up-to-bound verdict.  The verdict never claims more than the
     searched bound.  Raises :class:`BoundExceeded` up front when the planned
-    number of evaluations exceeds ``work_limit``.
+    number of evaluations exceeds ``work_limit``; the plan stops counting as
+    soon as it does.
     """
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
-    planned = planned_evaluations(f, max_n)
-    if planned > work_limit:
-        raise BoundExceeded(
-            f"tautology search would evaluate {planned} assignments, "
-            f"limit is {work_limit}"
-        )
     names = variables(f)
+    if _planned(len(names), max_n, work_limit) > work_limit:
+        raise BoundExceeded(
+            f"tautology search up to n={max_n} would evaluate more than "
+            f"{work_limit} assignments, the work limit"
+        )
     for n in range(2, max_n + 1):
         u = Universe(n)
         want = top(u)

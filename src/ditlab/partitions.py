@@ -20,6 +20,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Union
@@ -324,17 +325,22 @@ def common_dits(pi: Partition, sigma: Partition) -> PairSet:
     return ditset(pi).intersection(ditset(sigma))
 
 
-def bell_number(n: int) -> int:
-    """Number of set partitions of an n-element set (Bell number)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def _bell_numbers() -> Iterator[int]:
+    """Yield B(0), B(1), B(2), ... from one pass of the Bell triangle."""
     row = [1]
-    for _ in range(n):
+    while True:
+        yield row[0]
         nxt = [row[-1]]
         for v in row:
             nxt.append(nxt[-1] + v)
         row = nxt
-    return row[0]
+
+
+def bell_number(n: int) -> int:
+    """Number of set partitions of an n-element set (Bell number)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return next(itertools.islice(_bell_numbers(), n, None))
 
 
 def enumerate_partitions(universe: UniverseLike, bound: int = ENUMERATION_BOUND) -> Iterator[Partition]:
@@ -348,8 +354,7 @@ def enumerate_partitions(universe: UniverseLike, bound: int = ENUMERATION_BOUND)
     n = u.size
     if n > bound:
         raise BoundExceeded(
-            f"enumerating partitions of an n={n} universe exceeds bound {bound} "
-            f"(Bell({n}) = {bell_number(n)})"
+            f"enumerating partitions of an n={n} universe exceeds bound {bound}"
         )
     a = [0] * n
 

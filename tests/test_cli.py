@@ -211,6 +211,19 @@ def test_tautology_without_variables_is_bounded_by_work_only():
     assert q["status"] == "tautology_up_to_bound" and q["planned_evaluations"] == 9
 
 
+@pytest.mark.parametrize("max_n", ["1", "0", "-5"])
+def test_tautology_max_n_below_two_is_malformed_input(max_n):
+    code, out, err = run(["tautology", "--expr", "p", "--max-n", max_n])
+    assert (code, out) == (2, "") and "input error" in err and "--max-n" in err
+
+
+def test_tautology_refusal_of_a_huge_max_n_is_quick():
+    start = time.perf_counter()
+    code, out, err = run(["tautology", "--expr", "p", "--max-n", "800"])
+    assert (code, out) == (4, "") and "work limit" in err
+    assert time.perf_counter() - start < 0.5
+
+
 def test_tautology_work_limit_env_must_be_integer(monkeypatch):
     monkeypatch.setenv(cli.WORK_LIMIT_ENV, "lots")
     code, _, err = run(["tautology", "--expr", "p -> p"])

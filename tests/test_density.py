@@ -28,6 +28,7 @@ from ditlab.density import (
 )
 from ditlab.errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidDensityMatrix,
     InvalidProjectorSet,
     InvalidStateVector,
@@ -116,6 +117,13 @@ def test_rho_event_zero_probability():
     p = ProbDist((F(1, 2), F(1, 2), F(0)))
     with pytest.raises(ZeroProbabilityEvent):
         rho_event([2], p)
+
+
+@pytest.mark.parametrize("indices", [[-1], [3], [0, 3], [1.0], [True], ["0"]],
+                         ids=["negative", "past-the-end", "one-bad", "float", "bool", "str"])
+def test_rho_event_rejects_indices_outside_the_universe(indices):
+    with pytest.raises(IndexOutOfRange):
+        rho_event(indices, ProbDist.uniform(3))
 
 
 # -------------------------------------------------------- rho_partition

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import sys
+import traceback
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,18 @@ def test_formulas_at_the_depth_bound_parse_print_and_evaluate():
         parse(" | ".join(["p"] * (d + 2)))
 
 
+def test_parse_does_not_recurse():
+    d = logic.MAX_FORMULA_DEPTH
+    texts = ["(" * d + "p" + ")" * d, " -> ".join(["p"] * (d + 1)), "(p & " * d + "q" + ")" * d]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 50)
+    try:
+        for text in texts:
+            parse(text)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_variables_first_appearance_order():
     assert variables(parse("(q | p) & q -> r")) == ["q", "p", "r"]
     assert variables(parse("0 | 1")) == []
@@ -134,6 +148,34 @@ _formulas = st.recursive(
 @settings(max_examples=200)
 def test_print_parse_round_trip(f):
     assert parse(to_text(f)) == f
+
+
+_LEVELS = {Implies: (1, "->"), Join: (2, "|"), Meet: (3, "&")}
+
+
+def _sparse_text(f, space):
+    """Render with only the parentheses precedence needs; ``space()`` gives
+    the whitespace around each connective and parenthesis."""
+    if type(f) not in _LEVELS:
+        return to_text(f)
+    binds, op = _LEVELS[type(f)]
+
+    def side(g, right):
+        inner = _LEVELS.get(type(g), (4,))[0]
+        # '->' groups to the right, '|' and '&' to the left.
+        text = _sparse_text(g, space)
+        if inner < binds or (inner == binds and right != (op == "->")):
+            return f"({space()}{text}{space()})"
+        return text
+
+    return f"{side(f.lhs, False)}{space()}{op}{space()}{side(f.rhs, True)}"
+
+
+@given(_formulas, st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_parse_minimal_parentheses_round_trip(f, rnd):
+    text = _sparse_text(f, lambda: rnd.choice(["", " ", "  ", "\t", "\n"]))
+    assert parse(text) == f
 
 
 # ----------------------------------------------------------- evaluation

@@ -260,6 +260,12 @@ def test_enumeration_bound():
     assert len(list(enumerate_partitions(10, bound=10))) == 115975
 
 
+def test_enumeration_refusal_does_not_format_the_bell_number():
+    # B(2300) has more digits than Python converts to text by default.
+    with pytest.raises(BoundExceeded, match="n=2300 universe exceeds bound 9"):
+        next(enumerate_partitions(2300))
+
+
 # ------------------------------------------------------------ common dits
 
 def test_common_dits_examples():
