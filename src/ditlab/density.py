@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import Number, ProbDist, _bits, block_probabilities
+from .classical import Number, ProbDist, _bits, _sum, block_probabilities
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -144,8 +144,7 @@ def rho_event(indices: Sequence[int], p: ProbDist) -> np.ndarray:
     if pr == 0:
         raise ZeroProbabilityEvent("cannot condition on an event of probability zero")
     amps = np.zeros(n)
-    for j in idx:
-        amps[j] = math.sqrt(float(p.weights[j]) / float(pr))
+    amps[idx] = np.sqrt([float(p.weights[j]) / float(pr) for j in idx])
     return np.outer(amps, amps)
 
 
@@ -160,14 +159,9 @@ def rho_partition(pi: Partition, p: ProbDist) -> np.ndarray:
         raise DimensionMismatch(
             f"partition on size {pi.universe.size}, distribution on {p.size}"
         )
-    n = p.size
-    root = [math.sqrt(float(w)) for w in p.weights]
-    m = np.zeros((n, n))
-    for block in pi.blocks:
-        for j in block:
-            for k in block:
-                m[j, k] = root[j] * root[k]
-    return m
+    root = np.sqrt([float(w) for w in p.weights])
+    ids = np.array(pi._block_of)
+    return np.where(ids[:, None] == ids, np.outer(root, root), 0.0)
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -228,15 +222,8 @@ def validate_projectors(projs) -> list:
 
 
 def projectors_from_partition(pi: Partition) -> list:
-    """Computational-basis projectors onto the blocks of a partition."""
-    n = pi.universe.size
-    out = []
-    for block in pi.blocks:
-        P = np.zeros((n, n))
-        for j in block:
-            P[j, j] = 1.0
-        out.append(P)
-    return out
+    """Computational-basis projectors onto the blocks of a partition, as complex128."""
+    return projectors_from_eigenbasis(np.eye(pi.universe.size), pi)
 
 
 def projectors_from_eigenbasis(basis, pi: Partition) -> list:
@@ -321,7 +308,7 @@ class ClassicalDensity:
 
     def purity(self) -> Number:
         """``tr[rho^2] = sum_B Pr(B)^2``, exact for rational weights."""
-        return sum(q * q for q in block_probabilities(self.partition, self.dist))
+        return _sum(q * q for q in block_probabilities(self.partition, self.dist))
 
     def logical_entropy(self) -> Number:
         return 1 - self.purity()

@@ -190,18 +190,17 @@ def to_text(f: Formula) -> str:
 
 def variables(f: Formula) -> list:
     """Variable names in order of first appearance (left to right)."""
-    out: list = []
+    out: dict = {}  # keeps the order of insertion, with O(1) membership
 
     def walk(node: Formula):
         if isinstance(node, Var):
-            if node.name not in out:
-                out.append(node.name)
+            out[node.name] = None
         elif isinstance(node, (Join, Meet, Implies)):
             walk(node.lhs)
             walk(node.rhs)
 
     walk(f)
-    return out
+    return list(out)
 
 
 # ---------------------------------------------------------------- evaluation

@@ -7,12 +7,14 @@ the set of ordered pairs of elements lying in different blocks (its
 "distinctions"); the *inditset* is the complement, the pairs lying in the
 same block.  Partial order, join, meet and implication are all defined
 through these pair sets, with block-level implementations that are checked
-against the pair-set definitions in the test suite.
+against the pair-set definitions in the test suite.  Every partition built
+from element labels is gathered in one place, :func:`_grouped`.
 
 Conventions used throughout:
 
 * ``refines(sigma, pi)`` is true when ``ditset(sigma) <= ditset(pi)``,
-  i.e. sigma is the coarser (or equal) partition and pi the finer one.
+  i.e. sigma is the coarser (or equal) partition and pi the finer one; it
+  is read off the implication, ``sigma -> pi`` being ``top`` exactly then.
 * ``bottom`` is the single-block partition (no distinctions), ``top`` the
   all-singletons partition (all distinctions).
 * Joins add distinctions, meets remove them.
@@ -186,10 +188,19 @@ def make_partition(universe: UniverseLike, blocks: Iterable[Iterable[int]]) -> P
                 raise OverlappingBlocks(f"element {x} appears in more than one block")
             seen.add(x)
         cleaned.append(tuple(block))
-    missing = set(range(n)) - seen
-    if missing:
-        raise UncoveredElement(f"elements {sorted(missing)} are covered by no block")
+    # Every element seen is in range and seen once, so the count decides coverage.
+    if len(seen) < n:
+        least = next(x for x in range(n) if x not in seen)
+        raise UncoveredElement(f"elements covered by no block: {n - len(seen)}, the least is {least}")
     return Partition(u, tuple(cleaned))
+
+
+def _grouped(u: Universe, labels: Iterable) -> Partition:
+    """The partition of ``u`` whose blocks are the elements with equal labels."""
+    blocks: dict = {}
+    for x, label in enumerate(labels):
+        blocks.setdefault(label, []).append(x)
+    return Partition(u, tuple(map(tuple, blocks.values())))
 
 
 def top(universe: UniverseLike) -> Partition:
@@ -240,17 +251,12 @@ def refines(sigma: Partition, pi: Partition) -> bool:
     """True iff ``ditset(sigma) <= ditset(pi)``.
 
     Equivalently: every block of ``pi`` lies inside some block of ``sigma``
-    (``pi`` is the finer partition, ``sigma`` the coarser or equal one).
-    Implemented through block containment; the pair-set form is verified
-    exhaustively in the tests.
+    (``pi`` is the finer partition, ``sigma`` the coarser or equal one), so
+    ``implication(sigma, pi)`` is ``top``, which is how it is read off.
+    The pair-set form is verified exhaustively in the tests.
     """
     _check_same_universe(sigma.universe, pi.universe, "refinement comparison")
-    ids = sigma._block_of
-    for block in pi.blocks:
-        first = ids[block[0]]
-        if any(ids[x] != first for x in block[1:]):
-            return False
-    return True
+    return implication(sigma, pi).is_top()
 
 
 def join(pi: Partition, sigma: Partition) -> Partition:
@@ -259,11 +265,7 @@ def join(pi: Partition, sigma: Partition) -> Partition:
     Satisfies ``ditset(join) = ditset(pi) | ditset(sigma)``.
     """
     _check_same_universe(pi.universe, sigma.universe, "join")
-    cells = {}
-    for x in pi.universe.elements():
-        key = (pi._block_of[x], sigma._block_of[x])
-        cells.setdefault(key, []).append(x)
-    return Partition(pi.universe, tuple(tuple(c) for c in cells.values()))
+    return _grouped(pi.universe, zip(pi._block_of, sigma._block_of))
 
 
 def meet(pi: Partition, sigma: Partition) -> Partition:
@@ -291,10 +293,7 @@ def meet(pi: Partition, sigma: Partition) -> Partition:
         for block in part.blocks:
             for other in block[1:]:
                 union(block[0], other)
-    comps = {}
-    for x in range(n):
-        comps.setdefault(find(x), []).append(x)
-    return Partition(pi.universe, tuple(tuple(c) for c in comps.values()))
+    return _grouped(pi.universe, map(find, range(n)))
 
 
 def implication(sigma: Partition, pi: Partition) -> Partition:
@@ -360,10 +359,7 @@ def enumerate_partitions(universe: UniverseLike, bound: int = ENUMERATION_BOUND)
 
     def rec(i: int, mx: int):
         if i == n:
-            blocks = {}
-            for x, label in enumerate(a):
-                blocks.setdefault(label, []).append(x)
-            yield Partition(u, tuple(tuple(b) for b in blocks.values()))
+            yield _grouped(u, a)
             return
         for v in range(mx + 2):
             a[i] = v

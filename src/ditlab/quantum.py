@@ -36,7 +36,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -45,7 +44,7 @@ import numpy as np
 from . import classical, density
 from .classical import JointDist, ProbDist
 from .errors import BoundExceeded, DimensionMismatch, InvalidObservable, NotCommuting, _agree
-from .partitions import PairSet, Partition, Universe, ditset
+from .partitions import PairSet, Partition, Universe, _grouped, ditset
 
 #: Tolerance used when grouping float eigenvalues into classes.
 EIGENVALUE_GROUP_TOL = 1e-9
@@ -149,21 +148,15 @@ class Observable:
 
     @cached_property
     def _classes(self) -> Partition:
-        n = self.dim
-        if all(classical._is_exact(v) for v in self.eigenvalues):
-            groups = {}
-            for j, v in enumerate(self.eigenvalues):
-                groups.setdefault(Fraction(v), []).append(j)
-            blocks = tuple(tuple(g) for g in groups.values())
-        else:
-            order = sorted(range(n), key=lambda j: float(self.eigenvalues[j]))
-            blocks_list = [[order[0]]]
+        labels = self.eigenvalues
+        if not all(map(classical._is_exact, labels)):
+            # Along the sorted values, each gap above the tolerance starts a new class.
+            vals = [float(v) for v in labels]
+            order = sorted(range(self.dim), key=vals.__getitem__)
+            labels = [0] * self.dim
             for prev, cur in zip(order, order[1:]):
-                if float(self.eigenvalues[cur]) - float(self.eigenvalues[prev]) > EIGENVALUE_GROUP_TOL:
-                    blocks_list.append([])
-                blocks_list[-1].append(cur)
-            blocks = tuple(tuple(sorted(b)) for b in blocks_list)
-        return Partition(Universe(n), blocks)
+                labels[cur] = labels[prev] + (vals[cur] - vals[prev] > EIGENVALUE_GROUP_TOL)
+        return _grouped(Universe(self.dim), labels)
 
     def class_values(self) -> list:
         """Representative eigenvalue of each class, in canonical block order."""
@@ -557,6 +550,6 @@ def quantum_hamming(rho, tau) -> float:
     r, t = density._pair(rho, tau)
     tr = density._trace_product
     d = tr(r.m, r.m) + tr(t.m, t.m) - 2.0 * tr(r.m, t.m)
-    hs = tr(r.m - t.m, r.m - t.m)
+    hs = hilbert_schmidt_distance(r, t)
     _agree("distance trace form and Hilbert-Schmidt form", (d,), (hs,), False, classical.FLOAT_TOL)
     return d

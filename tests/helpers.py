@@ -6,13 +6,14 @@ reproducible under their fixed seeds.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from ditlab.classical import JointDist, ProbDist
 from ditlab.partitions import Partition, Universe
-from ditlab.quantum import Observable
+from ditlab.quantum import EIGENVALUE_GROUP_TOL, Observable
 
 
 def rational_dist(rng, n, allow_zero=False) -> ProbDist:
@@ -114,6 +115,39 @@ def region_table_loop(weights, ids_a, ids_b) -> list:
         for w2, a2, b2 in cells:
             t[a != a2][b != b2] += w * w2
     return t
+
+
+def rho_partition_loop(pi, p) -> np.ndarray:
+    """Reference for ``density.rho_partition``: ``sqrt(p_j) sqrt(p_k)`` set pair by pair in each block."""
+    n = p.size
+    root = [math.sqrt(float(w)) for w in p.weights]
+    m = np.zeros((n, n))
+    for block in pi.blocks:
+        for j in block:
+            for k in block:
+                m[j, k] = root[j] * root[k]
+    return m
+
+
+def eigenvalue_classes_loop(values) -> Partition:
+    """Reference for ``Observable.eigenvalue_partition``: the grouping loops it replaced.
+
+    Exact values group by equal ``Fraction``; otherwise the sorted floats
+    start a new block at each gap above ``EIGENVALUE_GROUP_TOL``.
+    """
+    n = len(values)
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        groups: dict = {}
+        for j, v in enumerate(values):
+            groups.setdefault(Fraction(v), []).append(j)
+        return Partition(Universe(n), tuple(tuple(g) for g in groups.values()))
+    order = sorted(range(n), key=lambda j: float(values[j]))
+    blocks = [[order[0]]]
+    for prev, cur in zip(order, order[1:]):
+        if float(values[cur]) - float(values[prev]) > EIGENVALUE_GROUP_TOL:
+            blocks.append([])
+        blocks[-1].append(cur)
+    return Partition(Universe(n), tuple(tuple(sorted(b)) for b in blocks))
 
 
 def count_calls(monkeypatch, owner, name) -> list:

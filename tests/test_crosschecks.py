@@ -142,6 +142,63 @@ def test_region_kernel_with_a_single_nonzero_weight(weight):
     assert type(t[0][0]) is type(weight) and [type(v) for v in t[0][1:] + t[1]] == [int] * 3
 
 
+_labels = st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+
+
+@st.composite
+def weighted_partitions(draw):
+    pi = _partition(draw(_labels))
+    n = pi.universe.size
+    if draw(st.booleans()):
+        return pi, ProbDist(draw(_exact_weights(n)))
+    raw = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n).filter(lambda w: sum(w) > 0.1))
+    return pi, ProbDist(tuple(x / sum(raw) for x in raw))
+
+
+@given(weighted_partitions())
+@settings(max_examples=200, deadline=None)
+def test_rho_partition_mask_equals_the_block_loop_bit_for_bit(case):
+    got, want = density.rho_partition(*case), helpers.rho_partition_loop(*case)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@given(_labels)
+@settings(max_examples=100, deadline=None)
+def test_partition_projectors_are_the_diagonal_block_indicators(labels):
+    pi, n = _partition(labels), len(labels)
+    want = [np.diag([float(j in block) for j in range(n)]) for block in pi.blocks]
+    got = density.projectors_from_partition(pi)
+    assert len(got) == len(want)
+    assert all(P.dtype == np.complex128 and np.array_equal(P, W) for P, W in zip(got, want))
+
+
+_exact_eigenvalues = st.sampled_from([0, 1, 3, Fraction(1, 2), Fraction(2, 4), Fraction(3, 1), Fraction(-1, 3)])
+
+
+@given(st.lists(_exact_eigenvalues, min_size=1, max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_exact_eigenvalue_classes_equal_the_grouping_loop(values):
+    assert Observable(tuple(values)).eigenvalue_partition() == helpers.eigenvalue_classes_loop(values)
+
+
+@st.composite
+def float_chains(draw):
+    """Shuffled chains whose gaps sit just below and just above ``EIGENVALUE_GROUP_TOL``."""
+    n = draw(st.integers(1, 9))
+    tol = quantum.EIGENVALUE_GROUP_TOL
+    steps = st.sampled_from([0.0, 0.5 * tol, 0.999 * tol, tol, 1.001 * tol, 2 * tol, 1.0])
+    values = [draw(st.floats(-3, 3))]
+    for step in draw(st.lists(steps, min_size=n - 1, max_size=n - 1)):
+        values.append(values[-1] + step)
+    return draw(st.permutations(values))
+
+
+@given(float_chains())
+@settings(max_examples=300, deadline=None)
+def test_float_eigenvalue_classes_equal_the_chain_loop(values):
+    assert Observable(tuple(values)).eigenvalue_partition() == helpers.eigenvalue_classes_loop(values)
+
+
 @st.composite
 def measurements(draw):
     n = draw(st.integers(1, 8))

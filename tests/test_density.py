@@ -329,6 +329,12 @@ def test_classical_density_matches_float_path():
         )
 
 
+def test_classical_density_purity_is_the_left_to_right_fold():
+    """A compensated sum (Python 3.12's builtin ``sum``) would end in ...0009."""
+    cd = ClassicalDensity(top(1001), ProbDist((1 - 1e-6,) + (1e-9,) * 1000))
+    assert cd.purity() == 0.9999980000009999
+
+
 def test_classical_density_entry_squares():
     cd = ClassicalDensity(PARITY, U6)
     assert cd.entry_squared(0, 2) == F(1, 36)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import time
 import traceback
 
 import pytest
@@ -130,6 +131,18 @@ def test_parse_does_not_recurse():
 def test_variables_first_appearance_order():
     assert variables(parse("(q | p) & q -> r")) == ["q", "p", "r"]
     assert variables(parse("0 | 1")) == []
+
+
+def test_variables_is_linear_in_the_distinct_names():
+    """A balanced ``&`` tree of 16 384 distinct variables, 14 levels deep."""
+    level = [f"v{i}" for i in range(2 ** 14)]
+    while len(level) > 1:
+        level = [f"({a} & {b})" for a, b in zip(level[::2], level[1::2])]
+    f = parse(level[0])
+    start = time.perf_counter()
+    names = variables(f)
+    assert time.perf_counter() - start < 0.5
+    assert names == [f"v{i}" for i in range(2 ** 14)]
 
 
 _names = st.sampled_from(["p", "q", "r", "s"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
@@ -60,6 +61,16 @@ def test_make_partition_errors():
         make_partition(3, [[0, 1, -1]])
     with pytest.raises(PartitionError):
         Universe(0)
+
+
+def test_uncovered_elements_are_counted_not_listed():
+    """Coverage is a count: a one-block document for a huge universe is refused at once."""
+    start = time.perf_counter()
+    with pytest.raises(UncoveredElement) as err:
+        make_partition(10 ** 6, [[0]])
+    assert time.perf_counter() - start < 0.1
+    msg = str(err.value)
+    assert len(msg) < 200 and "999999" in msg and msg.endswith("least is 1")
 
 
 def test_partition_is_hashable_and_comparable():
