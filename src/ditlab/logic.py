@@ -8,6 +8,9 @@ the variables, a formula evaluates to a partition.  A formula is a
 under every assignment on every universe of size 2 through the bound; the
 checker never claims validity beyond the bound it searched.
 
+The search runs a compiled formula on the variables' block-id codes and builds
+partitions only for a counterexample, which the tree :func:`evaluate` re-checks.
+
 Grammar (``->`` associates to the right and binds loosest, ``&`` tightest)::
 
     formula := or ('->' formula)?
@@ -24,6 +27,7 @@ within that bound.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
@@ -41,8 +45,12 @@ from .partitions import (
     UniverseLike,
     _as_universe,
     _bell_numbers,
+    _growth_strings,
+    _grouped,
+    _implication_code,
+    _join_code,
+    _meet_code,
     bottom,
-    enumerate_partitions,
     implication,
     join,
     meet,
@@ -303,16 +311,43 @@ def check_tautology(
             f"{work_limit} assignments, the work limit"
         )
     for n in range(2, max_n + 1):
-        u = Universe(n)
-        want = top(u)
-        # Enumerate up to max_n itself: the work limit is the only bound.
-        parts = list(enumerate_partitions(u, max_n)) if names else []
-        for combo in itertools.product(parts, repeat=len(names)):
-            env = dict(zip(names, combo))
-            value = evaluate(f, env, u)
+        want = tuple(range(n))
+        value_of = _compiled(f, names, n)
+        # No enumeration bound applies: the work limit is the only bound.
+        codes = _growth_strings(n) if names else []
+        for combo in itertools.product(codes, repeat=len(names)):
+            value = value_of(combo)
             if value != want:
-                # A counterexample witness must evaluate to the same value again.
+                # The tree evaluator on partitions must give the same value.
+                u = Universe(n)
+                env = {name: _grouped(u, code) for name, code in zip(names, combo)}
                 _agree(f"counterexample at n={n} and its re-evaluation",
-                       (value,), (evaluate(f, env, u),), True, 0)
+                       (_grouped(u, value),), (evaluate(f, env, u),), True, 0)
                 return TautologyVerdict(VerdictStatus.COUNTEREXAMPLE, max_n, (n, env))
     return TautologyVerdict(VerdictStatus.TAUTOLOGY_UP_TO_BOUND, max_n)
+
+
+def _compiled(f: Formula, names: list, n: int):
+    """``f`` on the size-``n`` universe: a tuple of codes, in the order of ``names``, to
+    a code.  Each connective memoises its kernel; equal values share one tuple."""
+    seen: dict = {}
+
+    def build(node: Formula):
+        if isinstance(node, Var):
+            return operator.itemgetter(names.index(node.name))
+        if isinstance(node, (Const0, Const1)):
+            const = (0,) * n if isinstance(node, Const0) else tuple(range(n))
+            return lambda codes: const
+        kernel = {Join: _join_code, Meet: _meet_code, Implies: _implication_code}[type(node)]
+        lhs, rhs, memo = build(node.lhs), build(node.rhs), {}
+
+        def value(codes):
+            key = (lhs(codes), rhs(codes))
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = seen.setdefault(new := kernel(*key), new)
+            return out
+
+        return value
+
+    return build(f)

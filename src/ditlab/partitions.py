@@ -196,11 +196,48 @@ def make_partition(universe: UniverseLike, blocks: Iterable[Iterable[int]]) -> P
 
 
 def _grouped(u: Universe, labels: Iterable) -> Partition:
-    """The partition of ``u`` whose blocks are the elements with equal labels."""
+    """The partition of ``u`` that groups equal labels; its blocks come out canonical."""
     blocks: dict = {}
     for x, label in enumerate(labels):
         blocks.setdefault(label, []).append(x)
-    return Partition(u, tuple(map(tuple, blocks.values())))
+    p = object.__new__(Partition)
+    p.__dict__.update(universe=u, blocks=tuple(map(tuple, blocks.values())))
+    return p
+
+
+# Lattice kernels on codes: ``_block_of`` of canonical partitions, a block id per element.
+
+def _join_code(a: tuple, b: tuple) -> tuple:
+    """Blocks are the nonempty intersections: one id per pair of block ids."""
+    ids: dict = {}
+    return tuple([ids.setdefault(pair, len(ids)) for pair in zip(a, b)])
+
+
+def _meet_code(a: tuple, b: tuple) -> tuple:
+    """Blocks of ``a`` joined by union-find wherever one block of ``b`` meets both."""
+    parent = list(range(len(a)))
+    met: dict = {}
+    for x, y in zip(a, b):
+        r, s = x, met.setdefault(y, x)
+        while parent[r] != r:
+            r = parent[r]
+        while parent[s] != s:
+            s = parent[s]
+        parent[max(r, s)] = min(r, s)
+    for i, up in enumerate(parent):  # up <= i, so parent[up] is already a root
+        parent[i] = parent[up]
+    ids: dict = {}
+    return tuple([ids.setdefault(parent[x], len(ids)) for x in a])
+
+
+def _implication_code(s: tuple, p: tuple) -> tuple:
+    """Blocks of ``p`` inside one block of ``s`` become singletons; the rest stay."""
+    first: dict = {}
+    stays = {y for x, y in zip(s, p) if first.setdefault(y, x) != x}
+    if not stays:
+        return tuple(range(len(p)))
+    ids: dict = {}
+    return tuple([ids.setdefault(y if y in stays else -1 - i, len(ids)) for i, y in enumerate(p)])
 
 
 def top(universe: UniverseLike) -> Partition:
@@ -265,35 +302,13 @@ def join(pi: Partition, sigma: Partition) -> Partition:
     Satisfies ``ditset(join) = ditset(pi) | ditset(sigma)``.
     """
     _check_same_universe(pi.universe, sigma.universe, "join")
-    return _grouped(pi.universe, zip(pi._block_of, sigma._block_of))
+    return _grouped(pi.universe, _join_code(pi._block_of, sigma._block_of))
 
 
 def meet(pi: Partition, sigma: Partition) -> Partition:
-    """Greatest lower bound via union-find closure.
-
-    Elements are merged when they share a block in either partition; the
-    meet's blocks are the connected components of that relation.
-    """
+    """Greatest lower bound: the connected components of "same block in either"."""
     _check_same_universe(pi.universe, sigma.universe, "meet")
-    n = pi.universe.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for part in (pi, sigma):
-        for block in part.blocks:
-            for other in block[1:]:
-                union(block[0], other)
-    return _grouped(pi.universe, map(find, range(n)))
+    return _grouped(pi.universe, _meet_code(pi._block_of, sigma._block_of))
 
 
 def implication(sigma: Partition, pi: Partition) -> Partition:
@@ -304,15 +319,7 @@ def implication(sigma: Partition, pi: Partition) -> Partition:
     result equals ``top`` exactly when ``refines(sigma, pi)``.
     """
     _check_same_universe(sigma.universe, pi.universe, "implication")
-    ids = sigma._block_of
-    out = []
-    for block in pi.blocks:
-        first = ids[block[0]]
-        if all(ids[x] == first for x in block[1:]):
-            out.extend((x,) for x in block)
-        else:
-            out.append(block)
-    return Partition(pi.universe, tuple(out))
+    return _grouped(pi.universe, _implication_code(sigma._block_of, pi._block_of))
 
 
 def common_dits(pi: Partition, sigma: Partition) -> PairSet:
@@ -355,15 +362,13 @@ def enumerate_partitions(universe: UniverseLike, bound: int = ENUMERATION_BOUND)
         raise BoundExceeded(
             f"enumerating partitions of an n={n} universe exceeds bound {bound}"
         )
-    a = [0] * n
+    for code in _growth_strings(n):
+        yield _grouped(u, code)
 
-    def rec(i: int, mx: int):
-        if i == n:
-            yield _grouped(u, a)
-            return
-        for v in range(mx + 2):
-            a[i] = v
-            yield from rec(i + 1, max(mx, v))
 
-    # a[0] is pinned to 0; positions 1..n-1 range over their growth bound.
-    yield from rec(1, 0)
+def _growth_strings(n: int) -> list:
+    """Every restricted growth string of length ``n``, in lexicographic order."""
+    codes = [(0,)]
+    for _ in range(n - 1):
+        codes = [c + (v,) for c in codes for v in range(max(c) + 2)]
+    return codes

@@ -6,13 +6,15 @@ reproducible under their fixed seeds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from ditlab.classical import JointDist, ProbDist
-from ditlab.partitions import Partition, Universe
+from ditlab.logic import evaluate, variables
+from ditlab.partitions import Partition, Universe, enumerate_partitions, top
 from ditlab.quantum import EIGENVALUE_GROUP_TOL, Observable
 
 
@@ -115,6 +117,23 @@ def region_table_loop(weights, ids_a, ids_b) -> list:
         for w2, a2, b2 in cells:
             t[a != a2][b != b2] += w * w2
     return t
+
+
+def tautology_search_loop(f, max_n):
+    """Reference for ``logic.check_tautology``: the tree evaluator over every assignment.
+
+    Returns ``None`` for a tautology up to ``max_n``, else the first
+    refuting ``(n, assignment)`` in the search's order.
+    """
+    names = variables(f)
+    for n in range(2, max_n + 1):
+        u = Universe(n)
+        parts = list(enumerate_partitions(u, max_n)) if names else []
+        for combo in itertools.product(parts, repeat=len(names)):
+            env = dict(zip(names, combo))
+            if evaluate(f, env, u) != top(u):
+                return n, env
+    return None
 
 
 def rho_partition_loop(pi, p) -> np.ndarray:

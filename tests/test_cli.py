@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-from ditlab import classical, cli, density, quantum
+from ditlab import classical, cli, density, logic, quantum
 from ditlab.classical import JointDist, ProbDist
-from ditlab.partitions import make_partition
+from ditlab.partitions import make_partition, top
 
 F = Fraction
 
@@ -228,6 +230,13 @@ def test_tautology_work_limit_env_must_be_integer(monkeypatch):
     monkeypatch.setenv(cli.WORK_LIMIT_ENV, "lots")
     code, _, err = run(["tautology", "--expr", "p -> p"])
     assert code == 2 and "not an integer" in err
+
+
+def test_tautology_recheck_that_disagrees_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr(logic, "evaluate", lambda f, env, universe: top(universe))
+    code, out, err = run(["tautology", "--expr", "p | q"])
+    assert (code, out) == (3, "")
+    assert err.startswith("ditlab: invariant violation: counterexample at n=2 and its re-evaluation")
 
 
 # ------------------------------------------------------------ measure command
@@ -553,3 +562,24 @@ def test_distribution_with_a_runaway_denominator_exits_four_fast(tmp_path):
     code, out, err = run(["entropy", "--pi", part, "--p", dist])
     assert (code, out) == (4, "") and "common denominator" in err
     assert time.perf_counter() - start < 0.5
+
+
+# ------------------------------------------------------- failed identity checks
+
+def test_a_failed_identity_prints_the_report_and_exits_three(monkeypatch):
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    argv = ["entropy", "--pi", str(inputs / "parity6.json"), "--sigma", str(inputs / "thirds6.json"),
+            "--p", str(inputs / "p6_exact.json"), "--shannon"]
+    _, good, _ = run(argv)
+    real = classical.shannon_profile_from_transform
+
+    def skewed(*args):
+        prof = real(*args)
+        return dataclasses.replace(prof, h_pi_given_sigma=prof.h_pi_given_sigma + 0.5)
+
+    monkeypatch.setattr(classical, "shannon_profile_from_transform", skewed)
+    code, out, err = run(argv)
+    assert (code, err) == (3, "ditlab: identity check failed: shannon_transform\n")
+    want = json.loads(good)
+    want["identities_checked"]["shannon_transform"] = {"pass": False, "residual": 0.5}
+    assert json.loads(out) == want

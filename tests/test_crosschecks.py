@@ -283,7 +283,87 @@ def test_cli_reports_equal_the_public_functions_bit_for_bit(report_dir, case):
     assert rep["matrices"]["rho_prime"] == helpers.complex_pairs(measure(F, psi))
 
 
+# ---------------------------- the compiled tautology search vs the tree evaluator
+
+def _formulas(depth):
+    """Formulas over p, q, r and the constants, nested at most ``depth`` deep."""
+    leaf = st.one_of(st.builds(logic.Var, st.sampled_from("pqr")),
+                     st.just(logic.Const0()), st.just(logic.Const1()))
+    if depth == 0:
+        return leaf
+    kid = _formulas(depth - 1)
+    return st.one_of(leaf, *(st.builds(node, kid, kid) for node in (logic.Join, logic.Meet, logic.Implies)))
+
+
+@st.composite
+def formula_assignments(draw):
+    f, n = draw(_formulas(4)), draw(st.integers(2, 6))
+    labels = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return f, n, {name: _partition(draw(labels)) for name in logic.variables(f)}
+
+
+@given(formula_assignments())
+@settings(max_examples=200, deadline=None)
+def test_compiled_evaluator_equals_the_tree_evaluator(case):
+    f, n, env = case
+    names = logic.variables(f)
+    value_of = logic._compiled(f, names, n)
+    codes = tuple(env[name]._block_of for name in names)
+    want = logic.evaluate(f, env, n)._block_of
+    assert value_of(codes) == want
+    assert value_of(codes) == want  # a second call answers from the memo
+
+
+#: The bench's named formulas with their search bounds.
+NAMED_FORMULAS = (
+    ("p | q", 4),
+    ("(p & (p -> q)) -> q", 5),
+    ("p -> p", 6),
+    ("((p -> q) & (q -> r)) -> (p -> r)", 4),
+    ("((p -> q) -> p) -> p", 5),
+    ("p | (p -> 0)", 5),
+    ("(p & q) -> p", 4),
+    ("p -> (p | q)", 4),
+    ("p -> (q -> p)", 4),
+    ("(p | q) -> (q | p)", 4),
+    ("((p -> r) & (q -> r)) -> ((p | q) -> r)", 3),
+    ("(p & (q | r)) -> ((p & q) | (p & r))", 3),
+    ("((p | q) & (p | r)) -> (p | (q & r))", 3),
+    ("(p -> q) | (q -> p)", 4),
+)
+
+
+def _random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.85:
+            return "pqr"[int(rng.integers(0, 3))]
+        return str(int(rng.integers(0, 2)))
+    op = ("|", "&", "->", "->")[int(rng.integers(0, 4))]
+    return f"({_random_formula(rng, depth - 1)} {op} {_random_formula(rng, depth - 1)})"
+
+
+def _same_verdict_as_the_tree_search(text, max_n):
+    f = logic.parse(text)
+    verdict = logic.check_tautology(f, max_n)
+    want = helpers.tautology_search_loop(f, max_n)
+    assert (verdict.is_tautology_up_to_bound, verdict.witness) == (want is None, want), text
+    return want is None
+
+
+@pytest.mark.parametrize("text, max_n", NAMED_FORMULAS)
+def test_search_finds_the_verdict_and_witness_of_the_tree_search(text, max_n):
+    _same_verdict_as_the_tree_search(text, max_n)
+
+
+def test_search_agrees_with_the_tree_search_on_seeded_random_formulas():
+    rng = np.random.default_rng(11)
+    tautologies = sum(_same_verdict_as_the_tree_search(_random_formula(rng, 3), 4) for _ in range(200))
+    assert 0 < tautologies < 200
+
+
 def test_witness_recheck_raises_when_reevaluation_disagrees(monkeypatch):
+    # The search runs on codes; the tree evaluator on partitions re-checks
+    # only the counterexample, so a re-check that says top must disagree.
     formula = logic.parse("p | q")
     real = logic.evaluate
     calls = []
@@ -292,12 +372,12 @@ def test_witness_recheck_raises_when_reevaluation_disagrees(monkeypatch):
         if f is not formula:
             return real(f, env, universe)
         calls.append(env)
-        return real(f, env, universe) if len(calls) == 1 else top(universe)
+        return top(universe)
 
     monkeypatch.setattr(logic, "evaluate", top_on_recheck)
     with pytest.raises(InternalInconsistency):
         logic.check_tautology(formula, max_n=3)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # ------------------------------------------- every cross-check's failure path
@@ -383,16 +463,22 @@ def test_quantum_hamming_raises_when_its_two_forms_disagree(monkeypatch):
 
 
 def test_witness_recheck_names_the_check(monkeypatch):
-    real = logic.evaluate
+    real = logic._compiled
     found = []
 
-    def top_after_a_counterexample(f, env, universe):
-        value = top(universe) if found else real(f, env, universe)
-        if value != top(universe):
-            found.append(value)
+    def recording_counterexamples(f, names, n):
+        value_of = real(f, names, n)
+
+        def value(codes):
+            out = value_of(codes)
+            if out != tuple(range(n)):
+                found.append(out)
+            return out
+
         return value
 
-    monkeypatch.setattr(logic, "evaluate", top_after_a_counterexample)
+    monkeypatch.setattr(logic, "_compiled", recording_counterexamples)
+    monkeypatch.setattr(logic, "evaluate", lambda f, env, universe: top(universe))
     with pytest.raises(InternalInconsistency, match="counterexample at n=2 and its re-evaluation"):
         logic.check_tautology(logic.parse("p"), max_n=2)
     assert len(found) == 1

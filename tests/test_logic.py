@@ -275,15 +275,19 @@ def test_zero_variable_formulas_scan_all_sizes():
 
 def test_work_limit_is_the_only_bound_on_the_search(monkeypatch):
     f = parse("1")
-    real = logic.evaluate
+    real = logic._compiled
     calls = []
 
-    def counting(g, env, universe):
-        if g is f:
-            calls.append(universe)
-        return real(g, env, universe)
+    def counting(g, names, n):
+        value_of = real(g, names, n)
 
-    monkeypatch.setattr(logic, "evaluate", counting)
+        def counted(codes):
+            calls.append(n)
+            return value_of(codes)
+
+        return counted
+
+    monkeypatch.setattr(logic, "_compiled", counting)
     assert check_tautology(f, 10).is_tautology_up_to_bound
     assert len(calls) == planned_evaluations(f, 10) == 9
 

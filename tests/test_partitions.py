@@ -6,7 +6,10 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ditlab import partitions
 from ditlab.errors import (
     BoundExceeded,
     EmptyBlock,
@@ -71,6 +74,18 @@ def test_uncovered_elements_are_counted_not_listed():
     assert time.perf_counter() - start < 0.1
     msg = str(err.value)
     assert len(msg) < 200 and "999999" in msg and msg.endswith("least is 1")
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+@settings(max_examples=200)
+def test_grouped_equals_make_partition_block_for_block(labels):
+    u = Universe(len(labels))
+    groups: dict = {}
+    for x, label in enumerate(labels):
+        groups.setdefault(label, []).append(x)
+    built = partitions._grouped(u, labels)
+    assert built.blocks == make_partition(u, groups.values()).blocks
+    assert built == Partition(u, tuple(reversed(built.blocks)))
 
 
 def test_partition_is_hashable_and_comparable():
@@ -275,6 +290,17 @@ def test_enumeration_refusal_does_not_format_the_bell_number():
     # B(2300) has more digits than Python converts to text by default.
     with pytest.raises(BoundExceeded, match="n=2300 universe exceeds bound 9"):
         next(enumerate_partitions(2300))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_growth_strings_are_every_code_in_order_and_kernels_return_codes(n):
+    codes = partitions._growth_strings(n)
+    assert codes == sorted(set(codes)) and len(codes) == bell_number(n)
+    assert all(c[0] == 0 and all(c[i] <= max(c[:i]) + 1 for i in range(1, n)) for c in codes)
+    canonical = set(codes)
+    for a, b in itertools.product(codes, codes):
+        for kernel in (partitions._join_code, partitions._meet_code, partitions._implication_code):
+            assert kernel(a, b) in canonical
 
 
 # ------------------------------------------------------------ common dits
