@@ -16,7 +16,17 @@ Every two-partition profile comes from the block-pair table ``q[i][j]``
 (probability of block ``i`` of one partition and block ``j`` of the other)
 through one kernel, ``_profile``, which applies an entropy functional to the
 marginals and cells; ``_six`` then subtracts out the conditional and mutual
-parts.  The brute-force oracle, ``_region_table``, sums ``w w'`` over
+parts.
+
+Block sums, the table's cells and the join's blocks are each one pass of
+``_sums``, which adds exact weights as integer numerators over one common
+denominator and floats to the bit as the per-block loop does.  The private
+carrier ``_Blocks`` takes them once per report, on first use, for
+:func:`entropy_profile`, :func:`shannon_profile` and
+:func:`shannon_profile_from_transform`.  The join keeps its own pass, so
+the Shannon joint entropy and the transform's table stay two routes.
+
+The brute-force oracle, ``_region_table``, sums ``w w'`` over
 ordered pairs of cells into a 2x2 table indexed by which partitions
 distinguish the pair; each quantity is a region of it (``_REGION_CELLS``).
 It is a numpy kernel over row chunks of ``w w^T`` that adds each region
@@ -36,7 +46,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import compress
 from typing import Sequence, Union
 
 import numpy as np
@@ -46,7 +57,6 @@ from .partitions import (
     DITSET_MATERIALIZE_BOUND,
     PairSet,
     Partition,
-    Universe,
     ditset,
     join,
 )
@@ -140,10 +150,6 @@ class ProbDist:
         return len(self.weights)
 
     @property
-    def universe(self) -> Universe:
-        return Universe(len(self.weights))
-
-    @property
     def is_exact(self) -> bool:
         return all(_is_exact(x) for x in self.weights)
 
@@ -178,10 +184,6 @@ class JointDist:
     @property
     def y_size(self) -> int:
         return len(self.weights[0])
-
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact(x) for r in self.weights for x in r)
 
     def marginal_x(self) -> ProbDist:
         return ProbDist(tuple(_sum(r) for r in self.weights))
@@ -235,21 +237,46 @@ def _six(cls, h_a, h_b, h_joint):
     return cls(h_a, h_b, h_joint, h_joint - h_b, h_joint - h_a, h_a + h_b - h_joint)
 
 
-def _block_table(cells, n_a: int, n_b: int) -> list:
-    """Block-pair table ``q[i][j]``: total weight of the cells ``(i, j, w)``."""
-    q = [[0] * n_b for _ in range(n_a)]
-    for i, j, w in cells:
-        q[i][j] += w
-    return q
+def _addends(weights) -> tuple:
+    """What :func:`_sums` adds: ``(values, d, fractions)``.
+
+    Exact weights become integer numerators over their common denominator
+    ``d``, and ``fractions`` flags the Fraction ones.  Other weights are
+    added as they are, with ``d = None``.
+    """
+    if all(map(_is_exact, weights)):
+        nums, d = _numerators(weights)
+        return nums, d, [isinstance(x, Fraction) for x in weights]
+    return weights, None, None
 
 
-def _profile(h, qa, qb, q) -> EntropyProfile:
-    """Apply the entropy functional ``h`` to both marginals and to the cells of ``q``.
+def _sums(keys, size: int, addends) -> list:
+    """Total weight of each key in ``range(size)``, in one pass: ``s[keys[x]] += w[x]``.
+
+    Each key's weights are added left to right in index order, as
+    :func:`_sum` adds them over the key's ascending points, so float totals
+    are its totals to the bit.  Exact totals are integer numerators over
+    ``d``; a total is ``Fraction(s, d)`` if one of its weights is a
+    Fraction, an int if all are ints, and the int 0 if it has none: the
+    types :func:`_sum` gives.
+    """
+    values, d, fractions = addends
+    s = [0] * size
+    for k, x in zip(keys, values):
+        s[k] += x
+    if d is None:
+        return s
+    hit = set(compress(keys, fractions))
+    return [Fraction(x, d) if k in hit else x // d for k, x in enumerate(s)]
+
+
+def _profile(h, qa, qb, cells) -> EntropyProfile:
+    """Apply the entropy functional ``h`` to both marginals and to the block-pair ``cells``.
 
     The marginals come from the caller, because summing per point and
     summing the table's rows round floats differently.
     """
-    return _six(EntropyProfile, h(qa), h(qb), h(v for row in q for v in row))
+    return _six(EntropyProfile, h(qa), h(qb), h(cells))
 
 
 def _region_table(weights, ids_a, ids_b) -> list:
@@ -326,10 +353,67 @@ def _route(what: str, method: str, closed, oracle, small: bool, tol=FLOAT_TOL):
     return prof
 
 
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """Two partitions of one universe under ``p``, and their block sums on first use.
+
+    Passed in place of ``p`` to the two-partition profiles, it is reused,
+    so a report sums each partition's blocks, the block-pair table and the
+    join's blocks once.
+    """
+
+    pi: Partition
+    sigma: Partition
+    p: ProbDist
+
+    @property
+    def weights(self) -> tuple:
+        """The weights of ``p``, which the carrier stands in for."""
+        return self.p.weights
+
+    @cached_property
+    def addends(self) -> tuple:
+        return _addends(self.p.weights)
+
+    @cached_property
+    def pi_sums(self) -> list:
+        return _sums(self.pi._block_of, self.pi.n_blocks, self.addends)
+
+    @cached_property
+    def sigma_sums(self) -> list:
+        return _sums(self.sigma._block_of, self.sigma.n_blocks, self.addends)
+
+    @cached_property
+    def table(self) -> list:
+        """The block-pair table, flat in row-major order.
+
+        Cell ``i * n_b + j`` totals block ``i`` of ``pi`` and block ``j`` of ``sigma``.
+        """
+        n_b = self.sigma.n_blocks
+        keys = [i * n_b + j for i, j in zip(self.pi._block_of, self.sigma._block_of)]
+        return _sums(keys, self.pi.n_blocks * n_b, self.addends)
+
+    @cached_property
+    def join_sums(self) -> list:
+        """The join's block sums, from its own pass rather than from :attr:`table`."""
+        j = join(self.pi, self.sigma)
+        return _sums(j._block_of, j.n_blocks, self.addends)
+
+
+def _blocks(pi: Partition, sigma: Partition, p: ProbDist | _Blocks, what: str) -> _Blocks:
+    """The carrier of ``p`` for ``pi`` and ``sigma``; a carrier passes through unchanged."""
+    if isinstance(p, _Blocks):
+        return p
+    if pi.universe != sigma.universe:
+        raise UniverseMismatch(f"{what} needs partitions on one universe")
+    _check_dist(pi, p, what)
+    return _Blocks(pi, sigma, p)
+
+
 def block_probabilities(pi: Partition, p: ProbDist) -> list:
     """Pr(B) for each block of ``pi``, in canonical block order."""
     _check_dist(pi, p, "block probabilities")
-    return [p.prob(b) for b in pi.blocks]
+    return _sums(pi._block_of, pi.n_blocks, _addends(p.weights))
 
 
 def logical_entropy(pi: Partition, p: ProbDist) -> Number:
@@ -348,14 +432,10 @@ def product_measure(region: PairSet, p: ProbDist) -> Number:
     return _sum(w[a] * w[b] for a, b in region)
 
 
-def _point_table(pi: Partition, sigma: Partition, p: ProbDist) -> list:
-    return _block_table(zip(pi._block_of, sigma._block_of, p.weights), pi.n_blocks, sigma.n_blocks)
-
-
 def entropy_profile(
     pi: Partition,
     sigma: Partition,
-    p: ProbDist,
+    p: ProbDist | _Blocks,
     method: str = "auto",
 ) -> EntropyProfile:
     """All six compound logical entropies for a pair of partitions.
@@ -367,25 +447,25 @@ def entropy_profile(
     quantity over its regions.  ``"auto"``
     (default) computes the closed forms and, when the ditsets are small
     enough to materialize, checks them against the region path.
+
+    ``p`` may be a ``_Blocks`` carrier of ``pi`` and ``sigma`` instead of
+    a distribution.
     """
-    if pi.universe != sigma.universe:
-        raise UniverseMismatch("entropy profile needs partitions on one universe")
-    _check_dist(pi, p, "entropy profile")
+    c = _blocks(pi, sigma, p, "entropy profile")
 
     def regions():
-        dit_pi, dit_sigma = ditset(pi), ditset(sigma)
+        dit_pi, dit_sigma = ditset(c.pi), ditset(c.sigma)
         # No region reads t[0][0], the pairs neither partition distinguishes.
         return _regions(EntropyProfile, [
-            [None, product_measure(dit_sigma.difference(dit_pi), p)],
-            [product_measure(dit_pi.difference(dit_sigma), p),
-             product_measure(dit_pi.intersection(dit_sigma), p)],
+            [None, product_measure(dit_sigma.difference(dit_pi), c.p)],
+            [product_measure(dit_pi.difference(dit_sigma), c.p),
+             product_measure(dit_pi.intersection(dit_sigma), c.p)],
         ])
 
     return _route(
         "entropy profile", method,
-        lambda: _profile(_logical, block_probabilities(pi, p), block_probabilities(sigma, p),
-                         _point_table(pi, sigma, p)),
-        regions, pi.universe.size <= DITSET_MATERIALIZE_BOUND,
+        lambda: _profile(_logical, c.pi_sums, c.sigma_sums, c.table),
+        regions, c.pi.universe.size <= DITSET_MATERIALIZE_BOUND,
     )
 
 
@@ -397,21 +477,20 @@ def shannon_entropy(pi: Partition, p: ProbDist) -> float:
     return _bits(block_probabilities(pi, p))
 
 
-def shannon_profile(pi: Partition, sigma: Partition, p: ProbDist) -> EntropyProfile:
+def shannon_profile(pi: Partition, sigma: Partition, p: ProbDist | _Blocks) -> EntropyProfile:
     """Joint/conditional/mutual Shannon entropies (bits) for a partition pair.
 
     The joint entropy is the entropy of the join; conditionals and mutual
-    information come from the standard subtraction identities.
+    information come from the standard subtraction identities.  ``p`` may
+    be a ``_Blocks`` carrier, as in :func:`entropy_profile`.
     """
-    if pi.universe != sigma.universe:
-        raise UniverseMismatch("shannon profile needs partitions on one universe")
-    return _six(
-        EntropyProfile,
-        shannon_entropy(pi, p), shannon_entropy(sigma, p), shannon_entropy(join(pi, sigma), p),
-    )
+    c = _blocks(pi, sigma, p, "shannon profile")
+    return _six(EntropyProfile, _bits(c.pi_sums), _bits(c.sigma_sums), _bits(c.join_sums))
 
 
-def shannon_profile_from_transform(pi: Partition, sigma: Partition, p: ProbDist) -> EntropyProfile:
+def shannon_profile_from_transform(
+    pi: Partition, sigma: Partition, p: ProbDist | _Blocks,
+) -> EntropyProfile:
     """Shannon profile obtained by the dit-count -> bit-count substitution.
 
     Each logical quantity is first written as an average of dit counts
@@ -419,14 +498,10 @@ def shannon_profile_from_transform(pi: Partition, sigma: Partition, p: ProbDist)
     substitution ``1 - Pr(.) => log2(1/Pr(.))`` then yields these sums,
     computed here directly from the block pair table without forming the
     join partition.  Agrees with :func:`shannon_profile` within float error.
+    ``p`` may be a ``_Blocks`` carrier, as in :func:`entropy_profile`.
     """
-    if pi.universe != sigma.universe:
-        raise UniverseMismatch("shannon profile needs partitions on one universe")
-    _check_dist(pi, p, "shannon profile")
-    return _profile(
-        _bits, block_probabilities(pi, p), block_probabilities(sigma, p),
-        _point_table(pi, sigma, p),
-    )
+    c = _blocks(pi, sigma, p, "shannon profile")
+    return _profile(_bits, c.pi_sums, c.sigma_sums, c.table)
 
 
 def hamming_distance(pi: Partition, sigma: Partition, p: ProbDist) -> Number:
@@ -477,18 +552,25 @@ def twoset_profile(
         raise UniverseMismatch(
             f"sigma partitions size {sigma.universe.size}, joint Y side is {joint.y_size}"
         )
-    ids_a = [a for a in pi._block_of for _ in range(joint.y_size)]
-    ids_b = sigma._block_of * joint.x_size
     weights = [w for row in joint.weights for w in row]
 
     def closed():
-        q = _block_table(zip(ids_a, ids_b, weights), pi.n_blocks, sigma.n_blocks)
-        return _profile(_logical, [_sum(row) for row in q], [_sum(col) for col in zip(*q)], q)
+        # The block-pair table, flat as in ``_Blocks.table``; cell (x, y) is
+        # in block pi(x) of pi and sigma(y) of sigma.
+        n_b = sigma.n_blocks
+        rows = [a * n_b for a in pi._block_of]
+        q = _sums([r + b for r in rows for b in sigma._block_of], pi.n_blocks * n_b,
+                  _addends(weights))
+        qa = [_sum(q[r:r + n_b]) for r in range(0, len(q), n_b)]
+        return _profile(_logical, qa, [_sum(q[j::n_b]) for j in range(n_b)], q)
+
+    def regions():
+        ids_a = [a for a in pi._block_of for _ in range(joint.y_size)]
+        return _regions(EntropyProfile,
+                        _region_table(weights, ids_a, sigma._block_of * joint.x_size))
 
     return _route(
-        "two-set profile", method, closed,
-        lambda: _regions(EntropyProfile, _region_table(weights, ids_a, ids_b)),
-        len(weights) ** 2 <= REGION_ORACLE_BOUND,
+        "two-set profile", method, closed, regions, len(weights) ** 2 <= REGION_ORACLE_BOUND,
     )
 
 

@@ -17,6 +17,7 @@ exceeded (including an exact value with more digits than Python prints).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -274,7 +275,9 @@ def cmd_entropy(args) -> dict:
             q["H_pi"] = classical.shannon_entropy(pi, p)
         return report
     else:
-        prof = classical.entropy_profile(pi, sigma, p)
+        # One carrier, so the three profiles share its block sums.
+        blocks = classical._blocks(pi, sigma, p, "entropy profile")
+        prof = classical.entropy_profile(pi, sigma, blocks)
 
     q.update(asdict(prof))
     if args.joint is None:
@@ -285,9 +288,9 @@ def cmd_entropy(args) -> dict:
     ids["venn_chain"] = _identity(chain, classical.FLOAT_TOL)
     ids["venn_mutual"] = _identity(venn, classical.FLOAT_TOL)
     if args.shannon:
-        sprof = classical.shannon_profile(pi, sigma, p)
+        sprof = classical.shannon_profile(pi, sigma, blocks)
         q.update(("H_" + k.removeprefix("h_"), v) for k, v in asdict(sprof).items())
-        tprof = classical.shannon_profile_from_transform(pi, sigma, p)
+        tprof = classical.shannon_profile_from_transform(pi, sigma, blocks)
         ids["shannon_transform"] = _identity(
             tprof.h_pi_given_sigma - sprof.h_pi_given_sigma, classical.FLOAT_TOL
         )
@@ -425,14 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent.add_argument("--sigma", help="second partition JSON file")
     p_ent.add_argument("--joint", help="joint distribution JSON file (two-set mode)")
     p_ent.add_argument("--shannon", action="store_true", help="include Shannon quantities")
-    p_ent.set_defaults(handler=cmd_entropy)
 
     p_tau = sub.add_parser("tautology", help="bounded partition-tautology search")
     p_tau.add_argument("--expr", help="formula text")
     p_tau.add_argument("--formula", help="formula JSON file")
     p_tau.add_argument("--max-n", type=int, default=4, dest="max_n",
                        help="largest universe size searched (default 4)")
-    p_tau.set_defaults(handler=cmd_tautology)
 
     p_mea = sub.add_parser("measure", help="Lüders measurement accounting")
     p_mea.add_argument("--state", help="state JSON file")
@@ -440,25 +441,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_mea.add_argument("--demo", help=f"built-in example, one of {_DEMOS}")
     p_mea.add_argument("--emit-density", action="store_true", dest="emit_density",
                        help="include the post-measurement density matrix")
-    p_mea.set_defaults(handler=cmd_measure)
 
     p_dis = sub.add_parser("distance", help="density-matrix distances")
     p_dis.add_argument("--rho", required=True, help="density JSON file")
     p_dis.add_argument("--tau", required=True, help="density JSON file")
-    p_dis.set_defaults(handler=cmd_distance)
 
     for sp in (p_ent, p_tau, p_mea, p_dis):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up when it runs, so a replaced ``cmd_*`` attribute is the one called.
+    handler = globals()[f"cmd_{args.subcommand}"]
     try:
-        report = args.handler(args)
+        report = handler(args)
         text = _render(report, args.format)
     except (InputSchemaError, FormulaSyntaxError) as exc:
         print(f"ditlab: input error: {exc}", file=stderr)

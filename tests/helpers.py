@@ -6,8 +6,10 @@ reproducible under their fixed seeds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -117,6 +119,15 @@ def region_table_loop(weights, ids_a, ids_b) -> list:
         for w2, a2, b2 in cells:
             t[a != a2][b != b2] += w * w2
     return t
+
+
+def block_probabilities_loop(blocks, weights) -> list:
+    """Reference for ``classical._sums``: each block's weights added left to right from the int 0.
+
+    ``blocks`` are ascending tuples of point indices, so this is the
+    per-block loop ``block_probabilities`` ran before its one-pass sums.
+    """
+    return [functools.reduce(operator.add, (weights[x] for x in block), 0) for block in blocks]
 
 
 def tautology_search_loop(f, max_n):

@@ -513,6 +513,18 @@ def test_float_distribution_quantities_are_floats(tmp_path, parity_file):
     assert isinstance(h, float) and h == pytest.approx(0.5, abs=1e-12)
 
 
+def test_one_parser_serves_every_call_and_handlers_resolve_when_main_runs(monkeypatch, parity_file,
+                                                                         uniform6_file):
+    cli._parser.cache_clear()
+    builds = helpers.count_calls(monkeypatch, cli, "build_parser")
+    argv = ["entropy", "--pi", parity_file, "--p", uniform6_file]
+    assert run(argv)[0] == 0
+    monkeypatch.setattr(cli, "cmd_entropy", lambda args: {"quantities": {"replaced": True}})
+    assert run(argv)[:2] == (0, '{"quantities":{"replaced":true}}\n')
+    assert run(["measure", "--demo", "die-parity"])[0] == 0
+    assert builds == ["build_parser"]
+
+
 # ------------------------------------------------------- exact-number limits
 
 @pytest.mark.parametrize("text", ["1e1000000", "1E5", "2/1e3", "0.5e0"])
@@ -583,3 +595,14 @@ def test_a_failed_identity_prints_the_report_and_exits_three(monkeypatch):
     want = json.loads(good)
     want["identities_checked"]["shannon_transform"] = {"pass": False, "residual": 0.5}
     assert json.loads(out) == want
+
+
+def test_a_wrong_join_fails_the_shannon_transform_identity(monkeypatch):
+    """The Shannon joint entropy is summed over the join's own blocks, not read off the
+    transform's block-pair table, so a wrong join shows up as a failed identity."""
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    monkeypatch.setattr(classical, "join", lambda pi, sigma: make_partition(6, [range(6)]))
+    code, _, err = run(["entropy", "--pi", str(inputs / "parity6.json"),
+                        "--sigma", str(inputs / "thirds6.json"), "--p", str(inputs / "p6_exact.json"),
+                        "--shannon"])
+    assert (code, err) == (3, "ditlab: identity check failed: shannon_transform\n")

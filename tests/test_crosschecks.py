@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import helpers
 from ditlab import classical, cli, density, errors, logic, quantum
-from ditlab.classical import JointDist, ProbDist, entropy_profile, twoset_profile
+from ditlab.classical import (
+    JointDist, ProbDist, block_probabilities, entropy_profile, twoset_profile,
+)
 from ditlab.errors import InternalInconsistency
 from ditlab.partitions import make_partition, top
 from ditlab.quantum import Observable, measure, spectral_pair_bruteforce
@@ -140,6 +142,145 @@ def test_region_kernel_with_a_single_nonzero_weight(weight):
     t = classical._region_table(weights, range(11), range(11))
     assert t == helpers.region_table_loop(weights, range(11), range(11)) == [[weight * weight, 0], [0, 0]]
     assert type(t[0][0]) is type(weight) and [type(v) for v in t[0][1:] + t[1]] == [int] * 3
+
+
+# ------------------------------------------------ one-pass block sums vs the per-block loop
+
+def _groups(ids, size):
+    """The ascending points of each key in ``range(size)``."""
+    groups = [[] for _ in range(size)]
+    for x, k in enumerate(ids):
+        groups[k].append(x)
+    return groups
+
+
+def _sum_cases(draw, weight):
+    """Block ids of two partitions, up to 3000 points and 40 blocks each, and ``weight(rng, n)``.
+
+    Hypothesis draws the sizes and a seed; numpy draws the long arrays.
+    """
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ids = [rng.integers(0, draw(st.integers(1, 40)), n).tolist() for _ in range(2)]
+    return _partition(ids[0]), _partition(ids[1]), weight(rng, n)
+
+
+def _float_weights(rng, n):
+    """Zeros, subnormal and tiny weights among ordinary ones."""
+    pool = np.array([0.0, 5e-324, 1e-300, 1e-17, 1.0])
+    w = np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.random(n))
+    w = w / w.sum() if w.sum() > 0 else np.full(n, 1 / n)
+    return list(w) if rng.random() < 0.3 else [float(x) for x in w]
+
+
+def _exact_weights_mixed(big):
+    """Int 0 and Fraction weights summing to 1, over a denominator near 2**40 if ``big``."""
+    def weights(rng, n):
+        counts = rng.integers(0, 2 ** 30 if big else 9, n) * (rng.random(n) < 0.7)
+        if not counts.any():
+            counts[0] = 1
+        s = int(counts.sum())
+        return [Fraction(int(c), s) if c else 0 for c in counts]
+    return weights
+
+
+@st.composite
+def float_sum_cases(draw):
+    return _sum_cases(draw, _float_weights)
+
+
+@st.composite
+def exact_sum_cases(draw):
+    return _sum_cases(draw, _exact_weights_mixed(draw(st.booleans())))
+
+
+def _table_loop(pi, sigma, weights):
+    """The block-pair table by the per-block loop, flat in row-major order."""
+    ids = [i * sigma.n_blocks + j for i, j in zip(pi._block_of, sigma._block_of)]
+    return helpers.block_probabilities_loop(_groups(ids, pi.n_blocks * sigma.n_blocks), weights)
+
+
+def _sums_and_loops(pi, sigma, weights):
+    c = classical._blocks(pi, sigma, ProbDist(tuple(weights)), "block sums")
+    got = [c.pi_sums, c.sigma_sums, c.table, block_probabilities(pi, c.p)]
+    want = [helpers.block_probabilities_loop(pi.blocks, weights),
+            helpers.block_probabilities_loop(sigma.blocks, weights),
+            _table_loop(pi, sigma, weights),
+            helpers.block_probabilities_loop(pi.blocks, weights)]
+    return got, want
+
+
+@given(float_sum_cases())
+@settings(max_examples=60, deadline=None)
+def test_block_sums_equal_the_loop_bit_for_bit_on_float_weights(case):
+    got, want = _sums_and_loops(*case)
+    for g, w in zip(got, want):
+        assert len(g) == len(w) and all(map(_same, g, w)), (g, w)
+
+
+@given(exact_sum_cases())
+@settings(max_examples=60, deadline=None)
+def test_block_sums_equal_the_loop_in_value_and_type_on_exact_weights(case):
+    got, want = _sums_and_loops(*case)
+    for g, w in zip(got, want):
+        assert g == w and list(map(type, g)) == list(map(type, w))
+
+
+@st.composite
+def exact_keyed_weights(draw):
+    """Int and Fraction weights over a few denominators up to 2**40, and keys for them."""
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dens = draw(st.lists(st.integers(1, 2 ** 40), min_size=1, max_size=3))
+    weights = [int(rng.integers(0, 4)) if rng.random() < 0.3
+               else Fraction(int(rng.integers(0, 10)), dens[int(rng.integers(len(dens)))])
+               for _ in range(n)]
+    size = draw(st.integers(1, 40))
+    return rng.integers(0, size, n).tolist(), size, weights
+
+
+@given(exact_keyed_weights())
+@settings(max_examples=60, deadline=None)
+def test_sums_equal_the_loop_on_mixed_int_and_fraction_weights(case):
+    """Keys holding only ints total to ints, empty keys to the int 0, the rest to Fractions."""
+    ids, size, weights = case
+    got = classical._sums(ids, size, classical._addends(weights))
+    want = helpers.block_probabilities_loop(_groups(ids, size), weights)
+    assert got == want and list(map(type, got)) == list(map(type, want))
+
+
+def test_sums_past_int64_stay_exact():
+    weights = [Fraction(1, 2 ** 32 + 1), Fraction(1, 2 ** 32 + 3), 2, 0]
+    values, d, _ = classical._addends(weights)
+    assert d * d >= 2 ** 63
+    got = classical._sums([0, 0, 1, 1], 3, (values, d, [True, True, False, False]))
+    assert got == [weights[0] + weights[1], 2, 0]
+    assert list(map(type, got)) == [Fraction, int, int]
+
+
+# ------------------------------------------------ the classical carrier
+
+def _report_profiles(pi, sigma, p):
+    return [classical.entropy_profile(pi, sigma, p), classical.shannon_profile(pi, sigma, p),
+            classical.shannon_profile_from_transform(pi, sigma, p)]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("n", [1, 6, 64, 65, 300])
+def test_one_carrier_gives_the_raw_calls_field_for_field(monkeypatch, exact, n):
+    rng = np.random.default_rng(n)
+    pi, sigma = helpers.random_partition(rng, n), helpers.random_partition(rng, n)
+    p = helpers.rational_dist(rng, n, allow_zero=True)
+    if not exact:
+        p = ProbDist(tuple(float(x) for x in p.weights))
+    want = _report_profiles(pi, sigma, p)
+    c = classical._blocks(pi, sigma, p, "carrier")
+    assert classical._blocks(pi, sigma, c, "carrier") is c and c.weights is p.weights
+    sums = helpers.count_calls(monkeypatch, classical, "_sums")
+    got = _report_profiles(pi, sigma, c)
+    for g, w in zip(got, want):
+        assert all(map(_same, astuple(g), astuple(w))), (g, w)
+    assert len(sums) == 4  # each partition's blocks, the block-pair table, the join's blocks
 
 
 _labels = st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
