@@ -16,12 +16,14 @@ Every two-partition profile comes from the block-pair table ``q[i][j]``
 (probability of block ``i`` of one partition and block ``j`` of the other)
 through one kernel, ``_profile``, which applies an entropy functional to the
 marginals and cells; ``_six`` then subtracts out the conditional and mutual
-parts.
+parts.  One builder, ``_table``, makes that table for partitions of one set
+and for the two-set profile.
 
-Block sums, the table's cells and the join's blocks are each one pass of
-``_sums``, which adds exact weights as integer numerators over one common
-denominator and floats to the bit as the per-block loop does.  The private
-carrier ``_Blocks`` takes them once per report, on first use, for
+A :class:`ProbDist` forms its exact weights' integer numerators over one
+common denominator once, in validation (``ProbDist._terms``).  Block sums,
+the table's cells and the join's blocks are each one pass of ``_sums`` over
+them, which adds floats to the bit as the per-block loop does.  The private
+carrier ``_Blocks`` takes the sums once per report, on first use, for
 :func:`entropy_profile`, :func:`shannon_profile` and
 :func:`shannon_profile_from_transform`.  The join keeps its own pass, so
 the Shannon joint entropy and the transform's table stay two routes.
@@ -131,19 +133,29 @@ class ProbDist:
         for x in w:
             if x < 0:
                 raise InvalidDistribution(f"negative weight {x}")
-        if self.is_exact:
-            nums, d = _numerators(w)
-            total = Fraction(sum(nums), d)
-            if total != 1:
-                try:
-                    message = f"weights sum to {total}, expected 1"
-                except ValueError:  # more digits than Python converts to text
-                    message = "weights do not sum to 1"
-                raise InvalidDistribution(message)
-        else:
+        values, d, _ = self._terms
+        if d is None:
             total = sum(w)
             if abs(total - 1) > FLOAT_TOL:
                 raise InvalidDistribution(f"weights sum to {total!r}, expected 1 within {FLOAT_TOL}")
+        elif sum(values) != d:
+            try:
+                message = f"weights sum to {Fraction(sum(values), d)}, expected 1"
+            except ValueError:  # more digits than Python converts to text
+                message = "weights do not sum to 1"
+            raise InvalidDistribution(message)
+
+    @cached_property
+    def _terms(self) -> tuple:
+        """What :func:`_sums` adds, ``(values, d, fractions)``, formed once, by validation.
+
+        Exact weights are integer numerators over their common denominator ``d``, the
+        Fraction ones flagged in ``fractions``; other weights are added as they are.
+        """
+        w = self.weights
+        if all(map(_is_exact, w)):
+            return *_numerators(w), [isinstance(x, Fraction) for x in w]
+        return w, None, None
 
     @property
     def size(self) -> int:
@@ -151,7 +163,7 @@ class ProbDist:
 
     @property
     def is_exact(self) -> bool:
-        return all(_is_exact(x) for x in self.weights)
+        return self._terms[1] is not None
 
     @staticmethod
     def uniform(n: int) -> "ProbDist":
@@ -175,7 +187,12 @@ class JointDist:
             raise InvalidDistribution("a joint distribution needs at least one cell")
         if any(len(r) != len(rows[0]) for r in rows):
             raise LengthMismatch("joint distribution rows have unequal length")
-        ProbDist(tuple(x for r in rows for x in r))
+        self._flat  # validates the cells as one distribution
+
+    @cached_property
+    def _flat(self) -> ProbDist:
+        """The distribution on cells ``x * y_size + y``, built once, by validation."""
+        return ProbDist(tuple(x for r in self.weights for x in r))
 
     @property
     def x_size(self) -> int:
@@ -237,19 +254,6 @@ def _six(cls, h_a, h_b, h_joint):
     return cls(h_a, h_b, h_joint, h_joint - h_b, h_joint - h_a, h_a + h_b - h_joint)
 
 
-def _addends(weights) -> tuple:
-    """What :func:`_sums` adds: ``(values, d, fractions)``.
-
-    Exact weights become integer numerators over their common denominator
-    ``d``, and ``fractions`` flags the Fraction ones.  Other weights are
-    added as they are, with ``d = None``.
-    """
-    if all(map(_is_exact, weights)):
-        nums, d = _numerators(weights)
-        return nums, d, [isinstance(x, Fraction) for x in weights]
-    return weights, None, None
-
-
 def _sums(keys, size: int, addends) -> list:
     """Total weight of each key in ``range(size)``, in one pass: ``s[keys[x]] += w[x]``.
 
@@ -277,6 +281,12 @@ def _profile(h, qa, qb, cells) -> EntropyProfile:
     summing the table's rows round floats differently.
     """
     return _six(EntropyProfile, h(qa), h(qb), h(cells))
+
+
+def _table(ids_a, n_a: int, ids_b, n_b: int, addends) -> list:
+    """The block-pair table, flat in row-major order: cell ``i * n_b + j`` totals the
+    points ``k`` with ``ids_a[k] == i`` and ``ids_b[k] == j``, in one pass of :func:`_sums`."""
+    return _sums([i * n_b + j for i, j in zip(ids_a, ids_b)], n_a * n_b, addends)
 
 
 def _region_table(weights, ids_a, ids_b) -> list:
@@ -372,32 +382,24 @@ class _Blocks:
         return self.p.weights
 
     @cached_property
-    def addends(self) -> tuple:
-        return _addends(self.p.weights)
-
-    @cached_property
     def pi_sums(self) -> list:
-        return _sums(self.pi._block_of, self.pi.n_blocks, self.addends)
+        return _sums(self.pi._block_of, self.pi.n_blocks, self.p._terms)
 
     @cached_property
     def sigma_sums(self) -> list:
-        return _sums(self.sigma._block_of, self.sigma.n_blocks, self.addends)
+        return _sums(self.sigma._block_of, self.sigma.n_blocks, self.p._terms)
 
     @cached_property
     def table(self) -> list:
-        """The block-pair table, flat in row-major order.
-
-        Cell ``i * n_b + j`` totals block ``i`` of ``pi`` and block ``j`` of ``sigma``.
-        """
-        n_b = self.sigma.n_blocks
-        keys = [i * n_b + j for i, j in zip(self.pi._block_of, self.sigma._block_of)]
-        return _sums(keys, self.pi.n_blocks * n_b, self.addends)
+        """The block-pair table of ``pi`` and ``sigma`` (:func:`_table`)."""
+        return _table(self.pi._block_of, self.pi.n_blocks,
+                      self.sigma._block_of, self.sigma.n_blocks, self.p._terms)
 
     @cached_property
     def join_sums(self) -> list:
         """The join's block sums, from its own pass rather than from :attr:`table`."""
         j = join(self.pi, self.sigma)
-        return _sums(j._block_of, j.n_blocks, self.addends)
+        return _sums(j._block_of, j.n_blocks, self.p._terms)
 
 
 def _blocks(pi: Partition, sigma: Partition, p: ProbDist | _Blocks, what: str) -> _Blocks:
@@ -413,7 +415,7 @@ def _blocks(pi: Partition, sigma: Partition, p: ProbDist | _Blocks, what: str) -
 def block_probabilities(pi: Partition, p: ProbDist) -> list:
     """Pr(B) for each block of ``pi``, in canonical block order."""
     _check_dist(pi, p, "block probabilities")
-    return _sums(pi._block_of, pi.n_blocks, _addends(p.weights))
+    return _sums(pi._block_of, pi.n_blocks, p._terms)
 
 
 def logical_entropy(pi: Partition, p: ProbDist) -> Number:
@@ -552,26 +554,21 @@ def twoset_profile(
         raise UniverseMismatch(
             f"sigma partitions size {sigma.universe.size}, joint Y side is {joint.y_size}"
         )
-    weights = [w for row in joint.weights for w in row]
+    p = joint._flat
+    # Cell (x, y) lies in block pi(x) of pi and sigma(y) of sigma.
+    ids_a = [a for a in pi._block_of for _ in range(joint.y_size)]
+    ids_b = sigma._block_of * joint.x_size
 
     def closed():
-        # The block-pair table, flat as in ``_Blocks.table``; cell (x, y) is
-        # in block pi(x) of pi and sigma(y) of sigma.
         n_b = sigma.n_blocks
-        rows = [a * n_b for a in pi._block_of]
-        q = _sums([r + b for r in rows for b in sigma._block_of], pi.n_blocks * n_b,
-                  _addends(weights))
+        q = _table(ids_a, pi.n_blocks, ids_b, n_b, p._terms)
         qa = [_sum(q[r:r + n_b]) for r in range(0, len(q), n_b)]
         return _profile(_logical, qa, [_sum(q[j::n_b]) for j in range(n_b)], q)
 
     def regions():
-        ids_a = [a for a in pi._block_of for _ in range(joint.y_size)]
-        return _regions(EntropyProfile,
-                        _region_table(weights, ids_a, sigma._block_of * joint.x_size))
+        return _regions(EntropyProfile, _region_table(p.weights, ids_a, ids_b))
 
-    return _route(
-        "two-set profile", method, closed, regions, len(weights) ** 2 <= REGION_ORACLE_BOUND,
-    )
+    return _route("two-set profile", method, closed, regions, p.size ** 2 <= REGION_ORACLE_BOUND)
 
 
 def dist_entropy(p: ProbDist) -> Number:

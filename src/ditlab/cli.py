@@ -52,7 +52,8 @@ def _read_file(path: str) -> bytes:
         raise InputSchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_document(path: str, expected_kind: str):
+def _load_document(path: str, expected_kind: str, *required: str):
+    """The JSON object at ``path``, of kind ``expected_kind``, with the ``required`` fields."""
     raw = _read_file(path)
     try:
         doc = json.loads(raw.decode("utf-8"))
@@ -63,13 +64,10 @@ def _load_document(path: str, expected_kind: str):
     kind = doc.get("kind")
     if kind != expected_kind:
         raise InputSchemaError(f"{path}: expected kind {expected_kind!r}, found {kind!r}")
+    for field in required:
+        if field not in doc:
+            raise InputSchemaError(f"{path}: missing field {field!r}")
     return doc, hashlib.sha256(raw).hexdigest()
-
-
-def _require(doc, field, path):
-    if field not in doc:
-        raise InputSchemaError(f"{path}: missing field {field!r}")
-    return doc[field]
 
 
 def _parse_number(x, path):
@@ -111,9 +109,8 @@ def _complex_array(value, ndim: int, path: str) -> np.ndarray:
 
 
 def _load_partition(path: str):
-    doc, digest = _load_document(path, "partition")
-    n = _require(doc, "n", path)
-    blocks = _require(doc, "blocks", path)
+    doc, digest = _load_document(path, "partition", "n", "blocks")
+    n, blocks = doc["n"], doc["blocks"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputSchemaError(f"{path}: field 'n' must be an integer")
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
@@ -122,18 +119,16 @@ def _load_partition(path: str):
 
 
 def _load_dist(path: str):
-    doc, digest = _load_document(path, "dist")
-    weights = _require(doc, "weights", path)
+    doc, digest = _load_document(path, "dist", "weights")
+    weights = doc["weights"]
     if not isinstance(weights, list):
         raise InputSchemaError(f"{path}: field 'weights' must be a list")
     return ProbDist(tuple(_parse_number(w, path) for w in weights)), digest
 
 
 def _load_joint(path: str):
-    doc, digest = _load_document(path, "joint")
-    x = _require(doc, "x", path)
-    y = _require(doc, "y", path)
-    matrix = _require(doc, "matrix", path)
+    doc, digest = _load_document(path, "joint", "x", "y", "matrix")
+    x, y, matrix = doc["x"], doc["y"], doc["matrix"]
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise InputSchemaError(f"{path}: field 'matrix' must be a list of rows")
     if len(matrix) != x or any(len(r) != y for r in matrix):
@@ -143,21 +138,21 @@ def _load_joint(path: str):
 
 
 def _load_formula(path: str):
-    doc, digest = _load_document(path, "formula")
-    text = _require(doc, "text", path)
+    doc, digest = _load_document(path, "formula", "text")
+    text = doc["text"]
     if not isinstance(text, str):
         raise InputSchemaError(f"{path}: field 'text' must be a string")
     return text, digest
 
 
 def _load_state(path: str):
-    doc, digest = _load_document(path, "state")
-    return _complex_array(_require(doc, "amplitudes", path), 1, path), digest
+    doc, digest = _load_document(path, "state", "amplitudes")
+    return _complex_array(doc["amplitudes"], 1, path), digest
 
 
 def _load_observable(path: str):
-    doc, digest = _load_document(path, "observable")
-    eigenvalues = _require(doc, "eigenvalues", path)
+    doc, digest = _load_document(path, "observable", "eigenvalues")
+    eigenvalues = doc["eigenvalues"]
     if not isinstance(eigenvalues, list):
         raise InputSchemaError(f"{path}: field 'eigenvalues' must be a list")
     vals = tuple(_parse_number(v, path) for v in eigenvalues)
@@ -168,8 +163,8 @@ def _load_observable(path: str):
 
 
 def _load_density(path: str):
-    doc, digest = _load_document(path, "density")
-    return _complex_array(_require(doc, "matrix", path), 2, path), digest
+    doc, digest = _load_document(path, "density", "matrix")
+    return _complex_array(doc["matrix"], 2, path), digest
 
 
 # ------------------------------------------------------------------ emission
@@ -245,8 +240,6 @@ def _report(command: str, inputs: dict) -> dict:
 # ------------------------------------------------------------------ commands
 
 def cmd_entropy(args) -> dict:
-    if (args.p is None) == (args.joint is None):
-        raise InputSchemaError("entropy: provide exactly one of --p or --joint")
     if args.joint is not None and args.sigma is None:
         raise InputSchemaError("entropy: --joint requires --sigma (a partition of the Y side)")
     if args.joint is not None and args.shannon:
@@ -298,8 +291,6 @@ def cmd_entropy(args) -> dict:
 
 
 def cmd_tautology(args) -> dict:
-    if (args.expr is None) == (args.formula is None):
-        raise InputSchemaError("tautology: provide exactly one of --expr or --formula")
     if args.max_n < 2:
         raise InputSchemaError(f"tautology: --max-n must be >= 2, got {args.max_n}")
     if args.expr is not None:
@@ -414,8 +405,15 @@ def cmd_distance(args) -> dict:
 
 # ---------------------------------------------------------------- entry point
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise :class:`InputSchemaError`, so :func:`main` reports them."""
+
+    def error(self, message):
+        raise InputSchemaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ditlab",
         description="Logical information theory: partition logic, logical entropy, "
         "and its quantum extension.",
@@ -424,14 +422,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ent = sub.add_parser("entropy", help="partition entropy profiles")
     p_ent.add_argument("--pi", required=True, help="partition JSON file")
-    p_ent.add_argument("--p", help="distribution JSON file")
+    dist = p_ent.add_mutually_exclusive_group(required=True)
+    dist.add_argument("--p", help="distribution JSON file")
     p_ent.add_argument("--sigma", help="second partition JSON file")
-    p_ent.add_argument("--joint", help="joint distribution JSON file (two-set mode)")
+    dist.add_argument("--joint", help="joint distribution JSON file (two-set mode)")
     p_ent.add_argument("--shannon", action="store_true", help="include Shannon quantities")
 
     p_tau = sub.add_parser("tautology", help="bounded partition-tautology search")
-    p_tau.add_argument("--expr", help="formula text")
-    p_tau.add_argument("--formula", help="formula JSON file")
+    formula = p_tau.add_mutually_exclusive_group(required=True)
+    formula.add_argument("--expr", help="formula text")
+    formula.add_argument("--formula", help="formula JSON file")
     p_tau.add_argument("--max-n", type=int, default=4, dest="max_n",
                        help="largest universe size searched (default 4)")
 
@@ -460,11 +460,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    args = _parser().parse_args(argv)
-    # Looked up when it runs, so a replaced ``cmd_*`` attribute is the one called.
-    handler = globals()[f"cmd_{args.subcommand}"]
     try:
-        report = handler(args)
+        args = _parser().parse_args(argv)
+        # Looked up when it runs, so a replaced ``cmd_*`` attribute is the one called.
+        report = globals()[f"cmd_{args.subcommand}"](args)
         text = _render(report, args.format)
     except (InputSchemaError, FormulaSyntaxError) as exc:
         print(f"ditlab: input error: {exc}", file=stderr)

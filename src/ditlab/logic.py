@@ -277,9 +277,9 @@ def planned_evaluations(f: Formula, max_n: int) -> int:
 
 def _planned(k: int, max_n: int, stop: float) -> int:
     """Evaluations over ``k`` variables on sizes 2..``max_n``, summed only
-    until the sum passes ``stop``."""
+    until the sum passes ``stop``.  With no variables only size 2 is searched."""
     if k == 0:
-        return max(max_n - 1, 0)
+        return int(max_n >= 2)
     total = 0
     for bell in itertools.islice(_bell_numbers(), 2, max_n + 1):
         total += bell ** k
@@ -298,9 +298,10 @@ def check_tautology(
     Returns a counterexample as soon as some assignment evaluates ``f`` to
     anything other than the all-singletons partition, otherwise a
     tautology-up-to-bound verdict.  The verdict never claims more than the
-    searched bound.  Raises :class:`BoundExceeded` up front when the planned
-    number of evaluations exceeds ``work_limit``; the plan stops counting as
-    soon as it does.
+    searched bound; a formula with no variables is top on every size from 2
+    on or on none, so size 2 alone is searched.  Raises :class:`BoundExceeded`
+    up front when the planned number of evaluations exceeds ``work_limit``;
+    the plan stops counting as soon as it does.
     """
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
@@ -310,7 +311,7 @@ def check_tautology(
             f"tautology search up to n={max_n} would evaluate more than "
             f"{work_limit} assignments, the work limit"
         )
-    for n in range(2, max_n + 1):
+    for n in range(2, max_n + 1 if names else 3):
         want = tuple(range(n))
         value_of = _compiled(f, names, n)
         # No enumeration bound applies: the work limit is the only bound.

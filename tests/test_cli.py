@@ -132,6 +132,11 @@ def test_entropy_argument_conflicts(tmp_path, parity_file, uniform6_file):
     assert code == 2 and "--sigma" in err
 
 
+def test_bad_command_line_is_reported_by_main():
+    code, out, err = run(["entropy"])
+    assert (code, out) == (2, "") and err.startswith("ditlab: input error:")
+
+
 def test_entropy_rejects_bad_distribution(tmp_path, parity_file):
     bad = write_doc(tmp_path, "bad.json", {
         "kind": "dist", "weights": ["1/2", "1/3", "0", "0", "0", "0"],
@@ -210,7 +215,7 @@ def test_tautology_without_variables_is_bounded_by_work_only():
     code, out, err = run(["tautology", "--expr", "1", "--max-n", "10"])
     assert (code, err) == (0, "")
     q = json.loads(out)["quantities"]
-    assert q["status"] == "tautology_up_to_bound" and q["planned_evaluations"] == 9
+    assert q["status"] == "tautology_up_to_bound" and q["planned_evaluations"] == 1
 
 
 @pytest.mark.parametrize("max_n", ["1", "0", "-5"])

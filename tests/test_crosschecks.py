@@ -7,6 +7,7 @@ import json
 import math
 from dataclasses import astuple
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -244,14 +245,15 @@ def exact_keyed_weights(draw):
 def test_sums_equal_the_loop_on_mixed_int_and_fraction_weights(case):
     """Keys holding only ints total to ints, empty keys to the int 0, the rest to Fractions."""
     ids, size, weights = case
-    got = classical._sums(ids, size, classical._addends(weights))
+    got = classical._sums(ids, size, (*classical._numerators(weights),
+                                      [isinstance(x, Fraction) for x in weights]))
     want = helpers.block_probabilities_loop(_groups(ids, size), weights)
     assert got == want and list(map(type, got)) == list(map(type, want))
 
 
 def test_sums_past_int64_stay_exact():
     weights = [Fraction(1, 2 ** 32 + 1), Fraction(1, 2 ** 32 + 3), 2, 0]
-    values, d, _ = classical._addends(weights)
+    values, d = classical._numerators(weights)
     assert d * d >= 2 ** 63
     got = classical._sums([0, 0, 1, 1], 3, (values, d, [True, True, False, False]))
     assert got == [weights[0] + weights[1], 2, 0]
@@ -284,6 +286,55 @@ def test_one_carrier_gives_the_raw_calls_field_for_field(monkeypatch, exact, n):
 
 
 _labels = st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["--pi", "parity6.json", "--sigma", "thirds6.json", "--p", "p6_exact.json", "--shannon"], 1),
+    (["--pi", "x4.json", "--sigma", "y5.json", "--joint", "joint_exact.json"], 2),
+    (["--pi", "parity6.json", "--p", "p6_exact.json", "--shannon"], 1),
+])
+def test_exact_reports_form_numerators_once_per_distribution(monkeypatch, argv, calls):
+    """Validation forms them; the two-set report's region oracle forms its own."""
+    argv = [a if a.startswith("--") else str(GOLDEN_INPUTS / a) for a in argv]
+    numerators = helpers.count_calls(monkeypatch, classical, "_numerators")
+    assert cli.main(["entropy", *argv], stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    assert len(numerators) == calls
+
+
+def test_profiles_on_a_built_distribution_form_no_numerators(monkeypatch):
+    rng = np.random.default_rng(7)
+    pi, sigma = helpers.random_partition(rng, 6), helpers.random_partition(rng, 6)
+    p = helpers.rational_dist(rng, 6, allow_zero=True)
+    numerators = helpers.count_calls(monkeypatch, classical, "_numerators")
+    _report_profiles(pi, sigma, p)
+    block_probabilities(pi, p)
+    assert numerators == []
+
+
+@st.composite
+def exact_joints(draw):
+    pi, sigma = _partition(draw(_labels)), _partition(draw(_labels))
+    nx, ny = pi.universe.size, sigma.universe.size
+    w = draw(_exact_weights(nx * ny))
+    return pi, sigma, JointDist(tuple(w[x * ny:(x + 1) * ny] for x in range(nx)))
+
+
+@given(exact_joints())
+@settings(max_examples=100, deadline=None)
+def test_twoset_profile_is_the_profile_of_the_partitions_lifted_to_the_product(case):
+    """Cell (x, y) of X x Y lies in block pi(x) of the lifted pi and sigma(y) of the lifted sigma."""
+    pi, sigma, joint = case
+    ny = joint.y_size
+    cells = range(joint.x_size * ny)
+    lifted_pi = _partition([pi._block_of[k // ny] for k in cells])
+    lifted_sigma = _partition([sigma._block_of[k % ny] for k in cells])
+    flat = ProbDist(tuple(w for row in joint.weights for w in row))
+    want = entropy_profile(lifted_pi, lifted_sigma, flat)
+    for m in ["closed", "regions"] + (["auto"] if len(cells) <= 64 else []):
+        assert twoset_profile(pi, sigma, joint, m) == want, m
 
 
 @st.composite

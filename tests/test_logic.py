@@ -269,7 +269,7 @@ def test_planned_evaluations_and_work_limit():
 
 
 def test_zero_variable_formulas_scan_all_sizes():
-    assert planned_evaluations(parse("1"), 5) == 4
+    assert planned_evaluations(parse("1"), 5) == 1
     assert check_tautology(parse("1"), 5).is_tautology_up_to_bound
 
 
@@ -289,7 +289,14 @@ def test_work_limit_is_the_only_bound_on_the_search(monkeypatch):
 
     monkeypatch.setattr(logic, "_compiled", counting)
     assert check_tautology(f, 10).is_tautology_up_to_bound
-    assert len(calls) == planned_evaluations(f, 10) == 9
+    assert len(calls) == planned_evaluations(f, 10) == 1
+
+
+def test_variable_free_formula_is_searched_at_size_two_only():
+    start = time.perf_counter()
+    v = check_tautology(parse("1"), 20_000)
+    assert time.perf_counter() - start < 0.1
+    assert v.status is VerdictStatus.TAUTOLOGY_UP_TO_BOUND and v.bound == 20_000
 
 
 def test_max_n_below_two_rejected():
