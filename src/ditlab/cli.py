@@ -422,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ent = sub.add_parser("entropy", help="partition entropy profiles")
     p_ent.add_argument("--pi", required=True, help="partition JSON file")
+    p_ent.add_argument("--sigma", help="second partition JSON file")
     dist = p_ent.add_mutually_exclusive_group(required=True)
     dist.add_argument("--p", help="distribution JSON file")
-    p_ent.add_argument("--sigma", help="second partition JSON file")
     dist.add_argument("--joint", help="joint distribution JSON file (two-set mode)")
     p_ent.add_argument("--shannon", action="store_true", help="include Shannon quantities")
 

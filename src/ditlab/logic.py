@@ -10,6 +10,11 @@ checker never claims validity beyond the bound it searched.
 
 The search runs a compiled formula on the variables' block-id codes and builds
 partitions only for a counterexample, which the tree :func:`evaluate` re-checks.
+Inside, a value is its *indit mask*: bit ``y(y-1)/2 + x`` is set when ``x < y``
+share a block, so top is 0.  A join unites ditsets, so on masks it is ``a & b``
+and runs no kernel.  A meet is the equivalence closure of ``a | b`` and an
+implication that of ``b & ~a``; one memo per size maps each such *deciding
+mask* to its closure, so a kernel runs at most once per mask.
 
 Grammar (``->`` associates to the right and binds loosest, ``&`` tightest)::
 
@@ -27,7 +32,6 @@ within that bound.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
@@ -48,7 +52,6 @@ from .partitions import (
     _growth_strings,
     _grouped,
     _implication_code,
-    _join_code,
     _meet_code,
     bottom,
     implication,
@@ -330,25 +333,55 @@ def check_tautology(
 
 def _compiled(f: Formula, names: list, n: int):
     """``f`` on the size-``n`` universe: a tuple of codes, in the order of ``names``, to
-    a code.  Each connective memoises its kernel; equal values share one tuple."""
-    seen: dict = {}
+    a code, computed on indit masks."""
+    table = _Masks(n)
+    closure = table.closure
 
     def build(node: Formula):
         if isinstance(node, Var):
-            return operator.itemgetter(names.index(node.name))
+            i = names.index(node.name)
+            return lambda codes: table[codes[i]]
         if isinstance(node, (Const0, Const1)):
-            const = (0,) * n if isinstance(node, Const0) else tuple(range(n))
+            const = (1 << n * (n - 1) // 2) - 1 if isinstance(node, Const0) else 0
             return lambda codes: const
-        kernel = {Join: _join_code, Meet: _meet_code, Implies: _implication_code}[type(node)]
-        lhs, rhs, memo = build(node.lhs), build(node.rhs), {}
+        lhs, rhs = build(node.lhs), build(node.rhs)
+        if isinstance(node, Join):
+            return lambda codes: lhs(codes) & rhs(codes)
+        meets = isinstance(node, Meet)
+        kernel = _meet_code if meets else _implication_code
 
         def value(codes):
-            key = (lhs(codes), rhs(codes))
-            out = memo.get(key)
+            a, b = lhs(codes), rhs(codes)
+            deciding = a | b if meets else b & ~a
+            out = closure.get(deciding)
             if out is None:
-                out = memo[key] = seen.setdefault(new := kernel(*key), new)
+                out = closure[deciding] = table[kernel(table[a], table[b])]
             return out
 
         return value
 
-    return build(f)
+    value_of = build(f)
+    return lambda codes: table[value_of(codes)]
+
+
+class _Masks(dict):
+    """Codes of length ``n`` (tuples) and their indit masks (ints), each mapped to the
+    other on first lookup.  ``closure`` starts with each mask as its own closure."""
+
+    def __init__(self, n: int):
+        self.n, self.closure = n, {}
+
+    def __missing__(self, key):
+        if isinstance(key, tuple):  # add each element's block-mates so far
+            code, mask, mates = key, 0, [0] * self.n
+            for y, block in enumerate(code):
+                mask |= mates[block] << (y * (y - 1) // 2)
+                mates[block] |= 1 << y
+        else:  # each element joins the block of its least mate, or opens one
+            mask, code = key, []
+            for y in range(self.n):
+                mates = mask >> (y * (y - 1) // 2) & ((1 << y) - 1)
+                code.append(code[(mates & -mates).bit_length() - 1] if mates else max(code, default=-1) + 1)
+            code = tuple(code)
+        self[code], self[mask], self.closure[mask] = mask, code, mask
+        return self[key]

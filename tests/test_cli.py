@@ -137,6 +137,14 @@ def test_bad_command_line_is_reported_by_main():
     assert (code, out) == (2, "") and err.startswith("ditlab: input error:")
 
 
+def test_entropy_usage_shows_one_required_distribution(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.build_parser().parse_args(["entropy", "--help"])
+    assert stop.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert "(--p P | --joint JOINT)" in usage
+
+
 def test_entropy_rejects_bad_distribution(tmp_path, parity_file):
     bad = write_doc(tmp_path, "bad.json", {
         "kind": "dist", "weights": ["1/2", "1/3", "0", "0", "0", "0"],

@@ -489,7 +489,7 @@ def _formulas(depth):
 
 @st.composite
 def formula_assignments(draw):
-    f, n = draw(_formulas(4)), draw(st.integers(2, 6))
+    f, n = draw(_formulas(4)), draw(st.integers(2, 7))
     labels = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
     return f, n, {name: _partition(draw(labels)) for name in logic.variables(f)}
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditlab import logic
+import helpers
+from ditlab import logic, partitions
 from ditlab.errors import (
     BoundExceeded,
     FormulaSyntaxError,
@@ -39,6 +40,7 @@ from ditlab.partitions import (
     bottom,
     enumerate_partitions,
     implication,
+    inditset,
     make_partition,
     refines,
     top,
@@ -302,3 +304,39 @@ def test_variable_free_formula_is_searched_at_size_two_only():
 def test_max_n_below_two_rejected():
     with pytest.raises(ValueError):
         check_tautology(parse("p"), 1)
+
+
+# -------------------------------------------------- indit masks of the search
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_indit_masks_are_the_same_block_pairs_and_decide_each_lattice_op(n):
+    table = logic._Masks(n)
+    mask = {}
+    for p in enumerate_partitions(n):
+        code = p._block_of
+        mask[code] = table[code]
+        assert mask[code] == sum(1 << y * (y - 1) // 2 + x for x, y in inditset(p) if x < y)
+        assert logic._Masks(n)[mask[code]] == code
+    # A meet is the closure of a | b and an implication that of b & ~a, so one
+    # map from deciding masks serves both, and a same-block relation is its own closure.
+    closure = {m: m for m in mask.values()}
+    for a, b in itertools.product(mask, mask):
+        assert mask[partitions._join_code(a, b)] == mask[a] & mask[b]
+        met, implied = mask[partitions._meet_code(a, b)], mask[partitions._implication_code(a, b)]
+        assert closure.setdefault(mask[a] | mask[b], met) == met
+        assert closure.setdefault(mask[b] & ~mask[a], implied) == implied
+
+
+def test_search_runs_one_kernel_call_per_deciding_mask(monkeypatch):
+    meets = helpers.count_calls(monkeypatch, logic, "_meet_code")
+    implications = helpers.count_calls(monkeypatch, logic, "_implication_code")
+    assert check_tautology(parse("(p & (p -> q)) -> q"), 5).is_tautology_up_to_bound
+    # Meet and implication share one memo, keyed by the 2^(n(n-1)/2) masks at each size.
+    assert len(meets) + len(implications) <= sum(2 ** (n * (n - 1) // 2) for n in range(2, 6)) == 1098
+
+
+def test_search_runs_no_join_kernel(monkeypatch):
+    owners = [partitions, logic] if hasattr(logic, "_join_code") else [partitions]
+    joins = [helpers.count_calls(monkeypatch, owner, "_join_code") for owner in owners]
+    assert check_tautology(parse("(p | q) -> (q | p)"), 4).is_tautology_up_to_bound
+    assert not any(joins)
