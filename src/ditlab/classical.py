@@ -17,7 +17,7 @@ Every two-partition profile comes from the block-pair table ``q[i][j]``
 through one kernel, ``_profile``, which applies an entropy functional to the
 marginals and cells; ``_six`` then subtracts out the conditional and mutual
 parts.  One builder, ``_table``, makes that table for partitions of one set
-and for the two-set profile.
+and for the two-set profile; it keeps only the cells that hold a point.
 
 A :class:`ProbDist` forms its exact weights' integer numerators over one
 common denominator once, in validation (``ProbDist._terms``).  Block sums,
@@ -35,7 +35,8 @@ It is a numpy kernel over row chunks of ``w w^T`` that adds each region
 left to right in the order of the double loop over cells, so float
 results are those of that loop to the bit; exact weights run on integer
 numerators over one common denominator, so exact results stay exact.
-:func:`entropy_profile` fills the same table from explicit ditsets.
+:func:`entropy_profile` fills the same table from explicit ditsets, whose
+:func:`product_measure` adds exact weights as integer numerators.
 
 Arithmetic is exact when the weights are :class:`fractions.Fraction` (or
 int) valued; with float weights the same code runs in floating point and
@@ -283,10 +284,16 @@ def _profile(h, qa, qb, cells) -> EntropyProfile:
     return _six(EntropyProfile, h(qa), h(qb), h(cells))
 
 
-def _table(ids_a, n_a: int, ids_b, n_b: int, addends) -> list:
-    """The block-pair table, flat in row-major order: cell ``i * n_b + j`` totals the
-    points ``k`` with ``ids_a[k] == i`` and ``ids_b[k] == j``, in one pass of :func:`_sums`."""
-    return _sums([i * n_b + j for i, j in zip(ids_a, ids_b)], n_a * n_b, addends)
+def _table(ids_a, ids_b, n_b: int, addends) -> list:
+    """The occupied cells of the block-pair table in row-major order, in one pass of
+    :func:`_sums`: cell ``(i, j)`` totals the points ``k`` with ``ids_a[k] == i`` and
+    ``ids_b[k] == j``.  An empty cell would only add an int 0 to a sum over the table."""
+    keys = [i * n_b + j for i, j in zip(ids_a, ids_b)]
+    occupied = set(keys)
+    if len(occupied) <= max(occupied):  # a cell before the last is empty: number the occupied ones
+        cell = {k: c for c, k in enumerate(sorted(occupied))}
+        keys = [cell[k] for k in keys]
+    return _sums(keys, len(occupied), addends)
 
 
 def _region_table(weights, ids_a, ids_b) -> list:
@@ -392,8 +399,7 @@ class _Blocks:
     @cached_property
     def table(self) -> list:
         """The block-pair table of ``pi`` and ``sigma`` (:func:`_table`)."""
-        return _table(self.pi._block_of, self.pi.n_blocks,
-                      self.sigma._block_of, self.sigma.n_blocks, self.p._terms)
+        return _table(self.pi._block_of, self.sigma._block_of, self.sigma.n_blocks, self.p._terms)
 
     @cached_property
     def join_sums(self) -> list:
@@ -424,14 +430,27 @@ def logical_entropy(pi: Partition, p: ProbDist) -> Number:
 
 
 def product_measure(region: PairSet, p: ProbDist) -> Number:
-    """Probability that an independent pair of draws lands in ``region``."""
+    """Probability that an independent pair of draws lands in ``region``.
+
+    Exact weights add ``n[a] n[b]`` as ints over the numerators ``n`` of
+    ``p._terms``, in any order, and divide once by ``d^2``: a Fraction if a
+    pair touches a Fraction weight, else an int (0 for an empty region), as
+    the fold of ``w[a] w[b]`` gives.  Float weights run that fold over the
+    sorted pairs.
+    """
     if region.universe.size != p.size:
         raise UniverseMismatch(
             f"product measure: pair set on size {region.universe.size}, "
             f"distribution on {p.size}"
         )
-    w = p.weights
-    return _sum(w[a] * w[b] for a, b in region)
+    values, d, fractions = p._terms
+    if d is None:
+        return _sum(values[a] * values[b] for a, b in region)
+    pairs = region.pairs
+    total = sum(values[a] * values[b] for a, b in pairs)
+    if any(fractions[a] or fractions[b] for a, b in pairs):
+        return Fraction(total, d * d)
+    return total // (d * d)
 
 
 def entropy_profile(
@@ -561,7 +580,7 @@ def twoset_profile(
 
     def closed():
         n_b = sigma.n_blocks
-        q = _table(ids_a, pi.n_blocks, ids_b, n_b, p._terms)
+        q = _table(ids_a, ids_b, n_b, p._terms)
         qa = [_sum(q[r:r + n_b]) for r in range(0, len(q), n_b)]
         return _profile(_logical, qa, [_sum(q[j::n_b]) for j in range(n_b)], q)
 

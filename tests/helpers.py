@@ -121,6 +121,12 @@ def region_table_loop(weights, ids_a, ids_b) -> list:
     return t
 
 
+def product_measure_loop(region, p):
+    """Reference for ``classical.product_measure``: ``w[a] w[b]`` added left to right over the sorted pairs."""
+    w = p.weights
+    return functools.reduce(operator.add, (w[a] * w[b] for a, b in sorted(region.pairs)), 0)
+
+
 def block_probabilities_loop(blocks, weights) -> list:
     """Reference for ``classical._sums``: each block's weights added left to right from the int 0.
 

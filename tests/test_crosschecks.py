@@ -21,7 +21,7 @@ from ditlab.classical import (
     JointDist, ProbDist, block_probabilities, entropy_profile, twoset_profile,
 )
 from ditlab.errors import InternalInconsistency
-from ditlab.partitions import make_partition, top
+from ditlab.partitions import PairSet, Universe, make_partition, top
 from ditlab.quantum import Observable, measure, spectral_pair_bruteforce
 
 
@@ -145,6 +145,59 @@ def test_region_kernel_with_a_single_nonzero_weight(weight):
     assert type(t[0][0]) is type(weight) and [type(v) for v in t[0][1:] + t[1]] == [int] * 3
 
 
+# ------------------------------------------------ the ditset oracle's product measure vs the fold
+
+def _regions_of(n):
+    return st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
+        lambda pairs: PairSet(Universe(n), pairs))
+
+
+@st.composite
+def exact_measure_cases(draw):
+    """A pair set and int 0, Fraction 0 and Fraction weights, over denominators past 2**64 if drawn."""
+    n = draw(st.integers(1, 7))
+    kinds = draw(st.lists(st.sampled_from(["int 0", "Fraction 0", "Fraction"]), min_size=n, max_size=n))
+    counts = [draw(st.integers(1, draw(st.sampled_from([9, 2 ** 70])))) if k == "Fraction" else 0
+              for k in kinds]
+    if not any(counts):  # one int 1 or Fraction(1, 1) carries all the weight
+        kinds[0], counts[0] = draw(st.sampled_from(["int", "Fraction"])), 1
+    s = sum(counts)
+    weights = [0 if k == "int 0" else Fraction(c, s) if k.startswith("Fraction") else c
+               for k, c in zip(kinds, counts)]
+    return draw(_regions_of(n)), ProbDist(tuple(weights))
+
+
+@given(exact_measure_cases())
+@example((PairSet(Universe(2), {(0, 1), (1, 1)}),
+          ProbDist((Fraction(1, 2 ** 65), Fraction(2 ** 65 - 1, 2 ** 65)))))
+@example((PairSet(Universe(3), {(1, 2), (2, 1)}), ProbDist((1, Fraction(0, 1), 0))))
+@example((PairSet(Universe(3), {(0, 2), (2, 2)}), ProbDist((1, Fraction(0, 1), 0))))
+@example((PairSet(Universe(2), set()), ProbDist((Fraction(1, 3), Fraction(2, 3)))))
+@settings(max_examples=300, deadline=None)
+def test_product_measure_equals_the_fold_in_value_and_type_on_exact_weights(case):
+    region, p = case
+    got, want = classical.product_measure(region, p), helpers.product_measure_loop(region, p)
+    assert got == want and type(got) is type(want), (got, want)
+
+
+@st.composite
+def float_measure_cases(draw):
+    n = draw(st.integers(1, 7))
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0, 1), st.floats(0, 1e-160)),
+                        min_size=n, max_size=n).filter(lambda w: sum(w) > 0.1))
+    weights = [x / sum(raw) for x in raw]
+    if draw(st.booleans()):
+        weights = list(np.array(weights))
+    return draw(_regions_of(n)), ProbDist(tuple(weights))
+
+
+@given(float_measure_cases())
+@settings(max_examples=300, deadline=None)
+def test_product_measure_equals_the_fold_bit_for_bit_on_float_weights(case):
+    region, p = case
+    assert _same(classical.product_measure(region, p), helpers.product_measure_loop(region, p))
+
+
 # ------------------------------------------------ one-pass block sums vs the per-block loop
 
 def _groups(ids, size):
@@ -196,9 +249,10 @@ def exact_sum_cases(draw):
 
 
 def _table_loop(pi, sigma, weights):
-    """The block-pair table by the per-block loop, flat in row-major order."""
+    """The occupied cells of the block-pair table by the per-block loop, in row-major order."""
     ids = [i * sigma.n_blocks + j for i, j in zip(pi._block_of, sigma._block_of)]
-    return helpers.block_probabilities_loop(_groups(ids, pi.n_blocks * sigma.n_blocks), weights)
+    groups = _groups(ids, pi.n_blocks * sigma.n_blocks)
+    return helpers.block_probabilities_loop([g for g in groups if g], weights)
 
 
 def _sums_and_loops(pi, sigma, weights):
@@ -225,6 +279,13 @@ def test_block_sums_equal_the_loop_in_value_and_type_on_exact_weights(case):
     got, want = _sums_and_loops(*case)
     for g, w in zip(got, want):
         assert g == w and list(map(type, g)) == list(map(type, w))
+
+
+def test_block_pair_table_holds_the_occupied_cells_only():
+    """All-singleton partitions of 2000 points occupy 2000 of the 4 000 000 block pairs."""
+    n = 2000
+    c = classical._blocks(top(n), top(n), ProbDist((1.0 / n,) * n), "block sums")
+    assert len(c.table) == n and c.table == c.pi_sums
 
 
 @st.composite
@@ -335,6 +396,40 @@ def test_twoset_profile_is_the_profile_of_the_partitions_lifted_to_the_product(c
     want = entropy_profile(lifted_pi, lifted_sigma, flat)
     for m in ["closed", "regions"] + (["auto"] if len(cells) <= 64 else []):
         assert twoset_profile(pi, sigma, joint, m) == want, m
+
+
+_small_labels = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+
+
+@st.composite
+def backend_cases(draw):
+    """Rational weights for two partitions of n <= 6 points and for partitions of two such sets."""
+    n = draw(st.integers(1, 6))
+    labels = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    pi, sigma = _partition(draw(labels)), _partition(draw(labels))
+    x, y = _partition(draw(_small_labels)), _partition(draw(_small_labels))
+    nx, ny = x.universe.size, y.universe.size
+    w = draw(_exact_weights(nx * ny))
+    return pi, sigma, draw(_exact_weights(n)), x, y, [w[i * ny:(i + 1) * ny] for i in range(nx)]
+
+
+def _close(exact, approx):
+    return all(abs(a - b) <= classical.FLOAT_TOL for a, b in zip(astuple(exact), astuple(approx)))
+
+
+@given(backend_cases())
+@settings(max_examples=100, deadline=None)
+def test_exact_and_float_backends_agree(case):
+    """The same rational weights as Fractions and as floats give one profile within FLOAT_TOL."""
+    pi, sigma, w, x, y, rows = case
+    exact, approx = ProbDist(w), ProbDist(tuple(map(float, w)))
+    assert exact.is_exact and not approx.is_exact
+    assert _close(entropy_profile(pi, sigma, exact), entropy_profile(pi, sigma, approx))
+    assert _close(classical.shannon_profile(pi, sigma, exact),
+                  classical.shannon_profile(pi, sigma, approx))
+    assert _close(twoset_profile(x, y, JointDist(rows)),
+                  twoset_profile(x, y, JointDist([tuple(map(float, r)) for r in rows])))
 
 
 @st.composite
