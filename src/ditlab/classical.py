@@ -12,12 +12,12 @@ inclusion-exclusion identities exactly.  Replacing each averaged dit-count
 logical profile into the corresponding Shannon formula; that transform is
 exposed here so the correspondence is executable rather than folklore.
 
-Every two-partition profile comes from the block-pair table ``q[i][j]``
-(probability of block ``i`` of one partition and block ``j`` of the other)
-through one kernel, ``_profile``, which applies an entropy functional to the
-marginals and cells; ``_six`` then subtracts out the conditional and mutual
-parts.  One builder, ``_table``, makes that table for partitions of one set
-and for the two-set profile; it keeps only the cells that hold a point.
+Every two-partition profile applies an entropy functional to the two
+marginals and to the block-pair table ``q[i][j]`` (probability of block ``i``
+of one partition and block ``j`` of the other); ``_six`` then subtracts out
+the conditional and mutual parts.  One builder, ``_table``, makes that table
+for partitions of one set and for the two-set profile; it keeps only the
+cells that hold a point.
 
 A :class:`ProbDist` forms its exact weights' integer numerators over one
 common denominator once, in validation (``ProbDist._terms``).  Block sums,
@@ -46,6 +46,7 @@ comparisons allow ``FLOAT_TOL``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,6 +98,14 @@ def _is_exact(x: Number) -> bool:
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
 
 
+def _check_real(values, error, what: str) -> None:
+    """Raise ``error`` at the first bool or non-real of ``values``; each type is tested once."""
+    for t in set(map(type, values)):
+        if t is bool or t not in (float, int, Fraction) and not issubclass(t, numbers.Real):
+            x = next(x for x in values if type(x) is bool or not isinstance(x, numbers.Real))
+            raise error(f"{what} {x!r} is not a real number")
+
+
 def _numerators(weights) -> tuple:
     """Exact weights as integer numerators over their common denominator ``d``.
 
@@ -131,6 +140,7 @@ class ProbDist:
         object.__setattr__(self, "weights", w)
         if not w:
             raise InvalidDistribution("a distribution needs at least one weight")
+        _check_real(w, InvalidDistribution, "weight")
         for x in w:
             if x < 0:
                 raise InvalidDistribution(f"negative weight {x}")
@@ -273,15 +283,6 @@ def _sums(keys, size: int, addends) -> list:
         return s
     hit = set(compress(keys, fractions))
     return [Fraction(x, d) if k in hit else x // d for k, x in enumerate(s)]
-
-
-def _profile(h, qa, qb, cells) -> EntropyProfile:
-    """Apply the entropy functional ``h`` to both marginals and to the block-pair ``cells``.
-
-    The marginals come from the caller, because summing per point and
-    summing the table's rows round floats differently.
-    """
-    return _six(EntropyProfile, h(qa), h(qb), h(cells))
 
 
 def _table(ids_a, ids_b, n_b: int, addends) -> list:
@@ -485,7 +486,7 @@ def entropy_profile(
 
     return _route(
         "entropy profile", method,
-        lambda: _profile(_logical, c.pi_sums, c.sigma_sums, c.table),
+        lambda: _six(EntropyProfile, _logical(c.pi_sums), _logical(c.sigma_sums), _logical(c.table)),
         regions, c.pi.universe.size <= DITSET_MATERIALIZE_BOUND,
     )
 
@@ -522,7 +523,7 @@ def shannon_profile_from_transform(
     ``p`` may be a ``_Blocks`` carrier, as in :func:`entropy_profile`.
     """
     c = _blocks(pi, sigma, p, "shannon profile")
-    return _profile(_bits, c.pi_sums, c.sigma_sums, c.table)
+    return _six(EntropyProfile, _bits(c.pi_sums), _bits(c.sigma_sums), _bits(c.table))
 
 
 def hamming_distance(pi: Partition, sigma: Partition, p: ProbDist) -> Number:
@@ -581,8 +582,10 @@ def twoset_profile(
     def closed():
         n_b = sigma.n_blocks
         q = _table(ids_a, ids_b, n_b, p._terms)
+        # Row and column sums of the table, not per-point sums: the two round floats differently.
         qa = [_sum(q[r:r + n_b]) for r in range(0, len(q), n_b)]
-        return _profile(_logical, qa, [_sum(q[j::n_b]) for j in range(n_b)], q)
+        qb = [_sum(q[j::n_b]) for j in range(n_b)]
+        return _six(EntropyProfile, _logical(qa), _logical(qb), _logical(q))
 
     def regions():
         return _regions(EntropyProfile, _region_table(p.weights, ids_a, ids_b))

@@ -14,7 +14,8 @@ Inside, a value is its *indit mask*: bit ``y(y-1)/2 + x`` is set when ``x < y``
 share a block, so top is 0.  A join unites ditsets, so on masks it is ``a & b``
 and runs no kernel.  A meet is the equivalence closure of ``a | b`` and an
 implication that of ``b & ~a``; one memo per size maps each such *deciding
-mask* to its closure, so a kernel runs at most once per mask.
+mask* to its closure, so a kernel runs at most once per mask.  Each size's
+codes and masks are built together, in one pass, before its search starts.
 
 Grammar (``->`` associates to the right and binds loosest, ``&`` tightest)::
 
@@ -365,23 +366,16 @@ def _compiled(f: Formula, names: list, n: int):
 
 
 class _Masks(dict):
-    """Codes of length ``n`` (tuples) and their indit masks (ints), each mapped to the
-    other on first lookup.  ``closure`` starts with each mask as its own closure."""
+    """Codes of length ``n`` (tuples) and their indit masks (ints), each mapped to the other,
+    and ``closure`` with each mask as its own closure, all filled in one pass over prefixes:
+    a row holds a code, its mask and each block's members as bits, and a new block has none."""
 
     def __init__(self, n: int):
-        self.n, self.closure = n, {}
-
-    def __missing__(self, key):
-        if isinstance(key, tuple):  # add each element's block-mates so far
-            code, mask, mates = key, 0, [0] * self.n
-            for y, block in enumerate(code):
-                mask |= mates[block] << (y * (y - 1) // 2)
-                mates[block] |= 1 << y
-        else:  # each element joins the block of its least mate, or opens one
-            mask, code = key, []
-            for y in range(self.n):
-                mates = mask >> (y * (y - 1) // 2) & ((1 << y) - 1)
-                code.append(code[(mates & -mates).bit_length() - 1] if mates else max(code, default=-1) + 1)
-            code = tuple(code)
-        self[code], self[mask], self.closure[mask] = mask, code, mask
-        return self[key]
+        rows = [((0,), 0, (1,))]
+        for y in range(1, n):
+            shift, bit = y * (y - 1) // 2, 1 << y
+            rows = [(code + (b,), mask | m << shift, mates[:b] + (m | bit,) + mates[b + 1:])
+                    for code, mask, mates in rows for b, m in enumerate(mates + (0,))]
+        self.closure = {}
+        for code, mask, _ in rows:
+            self[code], self[mask], self.closure[mask] = mask, code, mask

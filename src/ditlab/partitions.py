@@ -7,8 +7,8 @@ the set of ordered pairs of elements lying in different blocks (its
 "distinctions"); the *inditset* is the complement, the pairs lying in the
 same block.  Partial order, join, meet and implication are all defined
 through these pair sets, with block-level implementations that are checked
-against the pair-set definitions in the test suite.  Every partition built
-from element labels is gathered in one place, :func:`_grouped`.
+against the pair-set definitions in the test suite.  Every partition the
+library builds, from labels or from validated blocks, comes from :func:`_grouped`.
 
 Conventions used throughout:
 
@@ -23,6 +23,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Union
@@ -167,32 +168,30 @@ class Partition:
 
 
 def make_partition(universe: UniverseLike, blocks: Iterable[Iterable[int]]) -> Partition:
-    """Validate raw blocks and build a canonical :class:`Partition`.
+    """Validate raw blocks and group each element's block index with :func:`_grouped`.
 
-    Raises :class:`EmptyBlock`, :class:`IndexOutOfRange`,
-    :class:`OverlappingBlocks` or :class:`UncoveredElement` when the blocks
-    fail to partition ``{0, ..., n-1}``.
+    Raises :class:`EmptyBlock`, :class:`IndexOutOfRange`, :class:`OverlappingBlocks`
+    or :class:`UncoveredElement`, for the first bad element in input order, when the
+    blocks fail to partition ``{0, ..., n-1}``.
     """
     u = _as_universe(universe)
     n = u.size
-    seen = set()
-    cleaned = []
-    for block in blocks:
-        block = list(block)
+    blocks = list(map(tuple, blocks))
+    # Block index from 1 per element; blocks too few to cover n (an error) use a dict, not n slots.
+    owner = [0] * n if sum(map(len, blocks)) >= n else defaultdict(int)
+    for i, block in enumerate(blocks, 1):
         if not block:
             raise EmptyBlock("empty block is not allowed")
         for x in block:
             if not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < n):
                 raise IndexOutOfRange(f"element {x!r} outside universe of size {n}")
-            if x in seen:
+            if owner[x]:
                 raise OverlappingBlocks(f"element {x} appears in more than one block")
-            seen.add(x)
-        cleaned.append(tuple(block))
-    # Every element seen is in range and seen once, so the count decides coverage.
-    if len(seen) < n:
-        least = next(x for x in range(n) if x not in seen)
-        raise UncoveredElement(f"elements covered by no block: {n - len(seen)}, the least is {least}")
-    return Partition(u, tuple(cleaned))
+            owner[x] = i
+    if len(owner) < n:  # a dict, then: every element seen is in range and seen once
+        least = next(x for x in range(n) if x not in owner)
+        raise UncoveredElement(f"elements covered by no block: {n - len(owner)}, the least is {least}")
+    return _grouped(u, owner)
 
 
 def _grouped(u: Universe, labels: Iterable) -> Partition:
@@ -243,13 +242,13 @@ def _implication_code(s: tuple, p: tuple) -> tuple:
 def top(universe: UniverseLike) -> Partition:
     """The discrete partition: every element its own block (all distinctions)."""
     u = _as_universe(universe)
-    return Partition(u, tuple((x,) for x in u.elements()))
+    return _grouped(u, u.elements())
 
 
 def bottom(universe: UniverseLike) -> Partition:
     """The indiscrete partition: one block (no distinctions)."""
     u = _as_universe(universe)
-    return Partition(u, (tuple(u.elements()),))
+    return _grouped(u, [0] * u.size)
 
 
 def is_dit(p: Partition, a: int, b: int) -> bool:

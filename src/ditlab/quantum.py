@@ -69,19 +69,13 @@ class Observable:
     eigenbasis: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        vals = []
-        for v in self.eigenvalues:
-            if isinstance(v, bool):
-                raise InvalidObservable(f"eigenvalue {v!r} is not a real number")
-            if isinstance(v, complex):
-                if v.imag != 0:
-                    raise InvalidObservable(f"eigenvalue {v!r} is not a real number")
-                v = v.real
+        vals = [v.real if isinstance(v, complex) and v.imag == 0 else v for v in self.eigenvalues]
+        classical._check_real(vals, InvalidObservable, "eigenvalue")
+        for i, v in enumerate(vals):
             if not classical._is_exact(v):
-                v = float(v)
+                v = vals[i] = float(v)
                 if not math.isfinite(v):
                     raise InvalidObservable(f"eigenvalue {v!r} is not finite")
-            vals.append(v)
         object.__setattr__(self, "eigenvalues", tuple(vals))
         if not vals:
             raise InvalidObservable("an observable needs at least one eigenvalue")
@@ -300,6 +294,12 @@ def _profile_from_classical(prof: classical.EntropyProfile) -> QuantumProfile:
     return QuantumProfile(*(float(getattr(prof, f.name)) for f in fields(prof)))
 
 
+def _dim(F: Observable, G: Observable) -> int:
+    if F.dim != G.dim:
+        raise DimensionMismatch(f"observable dimensions {F.dim} and {G.dim} differ")
+    return F.dim
+
+
 def _joint_eigenbasis(F: Observable, G: Observable):
     """Shared basis and per-column eigenvalue lists for commuting observables.
 
@@ -307,8 +307,7 @@ def _joint_eigenbasis(F: Observable, G: Observable):
     commutator and rotates within each eigenspace of ``F`` to diagonalize
     ``G`` there; raises :class:`NotCommuting` when that cannot work.
     """
-    if F.dim != G.dim:
-        raise DimensionMismatch(f"observable dimensions {F.dim} and {G.dim} differ")
+    _dim(F, G)
     uf, ug = F.basis_matrix(), G.basis_matrix()
     if np.allclose(uf, ug, atol=classical.FLOAT_TOL, rtol=0.0):
         return uf, list(F.eigenvalues), list(G.eigenvalues)
@@ -371,9 +370,7 @@ def noncommuting_profile(
     required.  ``method`` is forwarded to the two-set computation
     (``"regions"`` is the quadruple-sum oracle path).
     """
-    if F.dim != G.dim:
-        raise DimensionMismatch(f"observable dimensions {F.dim} and {G.dim} differ")
-    n = F.dim
+    n = _dim(F, G)
     v = _state(psi2, n * n)
     amp = F.basis_matrix().conj().T @ v.reshape(n, n) @ G.basis_matrix().conj()
     p = np.abs(amp) ** 2
@@ -400,14 +397,13 @@ def qudit_region_tuples(F: Observable, G: Observable, region: str) -> list:
     """
     if region not in _REGIONS:
         raise ValueError(f"unknown region {region!r}; expected one of {_REGIONS}")
-    if F.dim != G.dim:
-        raise DimensionMismatch(f"observable dimensions {F.dim} and {G.dim} differ")
+    n = _dim(F, G)
     cells = classical._REGION_CELLS[_REGIONS.index(region)]
     fid = F.eigenvalue_partition()._block_of
     gid = G.eigenvalue_partition()._block_of
     return [
         (i, j, i2, j2)
-        for i, j, i2, j2 in itertools.product(range(F.dim), repeat=4)
+        for i, j, i2, j2 in itertools.product(range(n), repeat=4)
         if (fid[i] != fid[i2], gid[j] != gid[j2]) in cells
     ]
 
@@ -426,9 +422,7 @@ def noncommuting_profile_dense(F: Observable, G: Observable, psi2) -> QuantumPro
     Exponentially sized, so guarded to dimension <= 4 (matrices up to
     256 x 256); it exists to validate the combinatorial reduction.
     """
-    if F.dim != G.dim:
-        raise DimensionMismatch(f"observable dimensions {F.dim} and {G.dim} differ")
-    n = F.dim
+    n = _dim(F, G)
     if n > 4:
         raise BoundExceeded(f"dense oracle materializes {n ** 4}^2 entries; limit is dim 4")
     v = _state(psi2, n * n)

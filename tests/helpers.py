@@ -15,8 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from ditlab.classical import JointDist, ProbDist
+from ditlab.errors import EmptyBlock, IndexOutOfRange, OverlappingBlocks, UncoveredElement
 from ditlab.logic import evaluate, variables
-from ditlab.partitions import Partition, Universe, enumerate_partitions, top
+from ditlab.partitions import Partition, Universe, _as_universe, enumerate_partitions, top
 from ditlab.quantum import EIGENVALUE_GROUP_TOL, Observable
 
 
@@ -119,6 +120,29 @@ def region_table_loop(weights, ids_a, ids_b) -> list:
         for w2, a2, b2 in cells:
             t[a != a2][b != b2] += w * w2
     return t
+
+
+def make_partition_loop(universe, blocks) -> Partition:
+    """Reference for ``partitions.make_partition``: a seen set, then the canonicalizing constructor."""
+    u = _as_universe(universe)
+    n = u.size
+    seen = set()
+    cleaned = []
+    for block in blocks:
+        block = list(block)
+        if not block:
+            raise EmptyBlock("empty block is not allowed")
+        for x in block:
+            if not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < n):
+                raise IndexOutOfRange(f"element {x!r} outside universe of size {n}")
+            if x in seen:
+                raise OverlappingBlocks(f"element {x} appears in more than one block")
+            seen.add(x)
+        cleaned.append(tuple(block))
+    if len(seen) < n:
+        least = next(x for x in range(n) if x not in seen)
+        raise UncoveredElement(f"elements covered by no block: {n - len(seen)}, the least is {least}")
+    return Partition(u, tuple(cleaned))
 
 
 def product_measure_loop(region, p):

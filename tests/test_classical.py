@@ -60,6 +60,25 @@ def test_probdist_validation():
     assert not ProbDist((0.25, 0.75)).is_exact
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, "1", 1j, None])
+def test_probdist_rejects_weights_that_are_not_real_numbers(bad):
+    with pytest.raises(InvalidDistribution, match="is not a real number"):
+        ProbDist((bad,))
+    with pytest.raises(InvalidDistribution, match="is not a real number"):
+        ProbDist((0.5, bad, 0.5))
+    with pytest.raises(InvalidDistribution, match="is not a real number"):
+        JointDist(((0.5, bad),))
+
+
+def test_probdist_accepts_ints_fractions_and_numpy_scalars():
+    assert ProbDist((1,)).is_exact and ProbDist((F(1, 3), F(2, 3))).is_exact
+    # Numerators and denominators beyond the float range: the check converts nothing to float.
+    huge = 10 ** 400
+    assert ProbDist((F(huge, huge + 1), F(1, huge + 1))).is_exact
+    for w in ((np.float64(0.5), np.float32(0.5)), (np.int64(1),), (np.float64(0.25), F(3, 4))):
+        assert ProbDist(w).weights == w
+
+
 def test_jointdist_validation_and_marginals():
     with pytest.raises(LengthMismatch):
         JointDist(((F(1, 2),), (F(1, 4), F(1, 4))))

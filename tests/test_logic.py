@@ -327,6 +327,15 @@ def test_indit_masks_are_the_same_block_pairs_and_decide_each_lattice_op(n):
         assert closure.setdefault(mask[b] & ~mask[a], implied) == implied
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_mask_table_is_full_before_any_lookup(n):
+    table = logic._Masks(n)
+    assert len(table) == 2 * bell_number(n) and len(table.closure) == bell_number(n)
+    codes = [key for key in table if isinstance(key, tuple)]
+    assert codes == partitions._growth_strings(n)
+    assert all(table[table[code]] == code and table.closure[table[code]] == table[code] for code in codes)
+
+
 def test_search_runs_one_kernel_call_per_deciding_mask(monkeypatch):
     meets = helpers.count_calls(monkeypatch, logic, "_meet_code")
     implications = helpers.count_calls(monkeypatch, logic, "_implication_code")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from ditlab import partitions
 from ditlab.errors import (
     BoundExceeded,
@@ -86,6 +87,41 @@ def test_grouped_equals_make_partition_block_for_block(labels):
     built = partitions._grouped(u, labels)
     assert built.blocks == make_partition(u, groups.values()).blocks
     assert built == Partition(u, tuple(reversed(built.blocks)))
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n - 1), min_size=n, max_size=n), st.randoms())))
+@settings(max_examples=200)
+def test_make_partition_matches_its_loop_reference(case):
+    n, labels, rng = case
+    groups: dict = {}
+    for x, label in enumerate(labels):
+        groups.setdefault(label, []).append(x)
+    blocks = [rng.sample(b, len(b)) for b in groups.values()]
+    rng.shuffle(blocks)
+    built, want = make_partition(n, blocks), helpers.make_partition_loop(n, blocks)
+    assert built.blocks == want.blocks and built._block_of == want._block_of
+
+
+@pytest.mark.parametrize("n, blocks", [
+    (3, [[0, 1], [], [2]]),  # an empty block
+    (3, [[0, 1], [1, 2]]),  # a repeated element
+    (3, [[0, 1], [2, 2]]),  # a repeated element within one block
+    (3, [[0, 1], [3, 2]]),  # an element out of range
+    (3, [[0, -1], [1, 2]]),  # a negative element
+    (3, [[0, True], [2]]),  # a bool element
+    (3, [[0, 1.0], [2]]),  # a float element
+    (4, [[0, 1], [3]]),  # a missing element
+    (10 ** 18, [[0]]),  # a universe far larger than its blocks
+    (3, [[0, 5], []]),  # the first bad element in input order decides
+    (3, [[0], [0], []]),
+])
+def test_make_partition_errors_match_its_loop_reference(n, blocks):
+    with pytest.raises(PartitionError) as got:
+        make_partition(n, blocks)
+    with pytest.raises(PartitionError) as want:
+        helpers.make_partition_loop(n, blocks)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def test_partition_is_hashable_and_comparable():

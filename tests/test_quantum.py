@@ -61,6 +61,16 @@ def test_observable_validation():
         Observable((1, 2), np.array([[1, 1], [0, 1]], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", ["1.5", "x", None, np.True_, [1.5]])
+def test_observable_rejects_eigenvalues_that_are_not_real_numbers(bad):
+    with pytest.raises(InvalidObservable, match="is not a real number"):
+        Observable((bad, 0))
+
+
+def test_observable_accepts_numpy_scalars_and_fractions():
+    assert Observable((np.float32(1.5), np.int64(0), Fraction(1, 3))).eigenvalues == (1.5, 0.0, Fraction(1, 3))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_observable_and_state_reject_non_finite_numbers(bad):
     with pytest.raises(InvalidObservable):
