@@ -38,6 +38,7 @@ from .density import (
     decohered_sumsq,
     dm_logical_entropy,
     luders,
+    projectors_from_partition,
     rho_event,
     rho_partition,
     validate_density,

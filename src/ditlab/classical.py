@@ -51,7 +51,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import compress, repeat
 from typing import Sequence, Union
 
 import numpy as np
@@ -98,6 +98,11 @@ def _is_exact(x: Number) -> bool:
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
 
 
+def _all_exact(values) -> bool:
+    """``all(map(_is_exact, values))`` for values with no bool, in C, stopping at the first inexact one."""
+    return all(map(isinstance, values, repeat((Fraction, int))))
+
+
 def _check_real(values, error, what: str) -> None:
     """Raise ``error`` at the first bool or non-real of ``values``; each type is tested once."""
     for t in set(map(type, values)):
@@ -141,9 +146,10 @@ class ProbDist:
         if not w:
             raise InvalidDistribution("a distribution needs at least one weight")
         _check_real(w, InvalidDistribution, "weight")
-        for x in w:
-            if x < 0:
-                raise InvalidDistribution(f"negative weight {x}")
+        # An exact weight's sign is its numerator's, which compares faster than a Fraction.
+        for sign in map(operator.attrgetter("numerator"), w) if _all_exact(w) else w:
+            if sign < 0:
+                raise InvalidDistribution(f"negative weight {next(x for x in w if x < 0)}")
         values, d, _ = self._terms
         if d is None:
             total = sum(w)
@@ -164,7 +170,7 @@ class ProbDist:
         Fraction ones flagged in ``fractions``; other weights are added as they are.
         """
         w = self.weights
-        if all(map(_is_exact, w)):
+        if _all_exact(w):
             return *_numerators(w), [isinstance(x, Fraction) for x in w]
         return w, None, None
 

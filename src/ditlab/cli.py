@@ -85,7 +85,10 @@ def _parse_number(x, path):
     if isinstance(x, str):
         if "e" in x.lower():
             raise InputSchemaError(f"{path}: exponent notation in {x!r}; write a rational as a/b")
+        num, _, den = x.partition("/")
         try:
+            if x.isascii() and num.isdigit() and den.isdigit():  # what Fraction(x) parses, without its regex
+                return Fraction(int(num), int(den))
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputSchemaError(f"{path}: cannot parse {x!r} as a rational") from exc

@@ -8,7 +8,9 @@ the set of ordered pairs of elements lying in different blocks (its
 same block.  Partial order, join, meet and implication are all defined
 through these pair sets, with block-level implementations that are checked
 against the pair-set definitions in the test suite.  Every partition the
-library builds, from labels or from validated blocks, comes from :func:`_grouped`.
+library builds, from labels or from validated blocks, comes from :func:`_grouped`,
+and every pair set it derives, from blocks or from validated pair sets, from
+:func:`_pairset`, which checks no pair again (the public ``PairSet`` does).
 
 Conventions used throughout:
 
@@ -23,6 +25,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -72,6 +75,11 @@ def _check_same_universe(a: Universe, b: Universe, what: str) -> None:
         raise UniverseMismatch(f"{what}: universes of size {a.size} and {b.size} differ")
 
 
+def _is_element(x, n: int) -> bool:
+    """Whether ``x`` is in ``{0, ..., n-1}``: an integer, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and 0 <= x < n
+
+
 @dataclass(frozen=True)
 class PairSet:
     """A set of ordered pairs of universe elements, e.g. a ditset."""
@@ -82,9 +90,10 @@ class PairSet:
     def __post_init__(self):
         object.__setattr__(self, "pairs", frozenset(self.pairs))
         n = self.universe.size
-        for a, b in self.pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise IndexOutOfRange(f"pair ({a}, {b}) outside universe of size {n}")
+        for pair in self.pairs:
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and _is_element(pair[0], n) and _is_element(pair[1], n)):
+                raise IndexOutOfRange(f"pair {pair!r} outside universe of size {n}")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -97,25 +106,31 @@ class PairSet:
 
     def union(self, other: "PairSet") -> "PairSet":
         _check_same_universe(self.universe, other.universe, "pair-set union")
-        return PairSet(self.universe, self.pairs | other.pairs)
+        return _pairset(self.universe, self.pairs | other.pairs)
 
     def intersection(self, other: "PairSet") -> "PairSet":
         _check_same_universe(self.universe, other.universe, "pair-set intersection")
-        return PairSet(self.universe, self.pairs & other.pairs)
+        return _pairset(self.universe, self.pairs & other.pairs)
 
     def difference(self, other: "PairSet") -> "PairSet":
         _check_same_universe(self.universe, other.universe, "pair-set difference")
-        return PairSet(self.universe, self.pairs - other.pairs)
+        return _pairset(self.universe, self.pairs - other.pairs)
 
     def complement(self) -> "PairSet":
         """All of ``U x U`` minus these pairs."""
-        n = self.universe.size
-        full = {(a, b) for a in range(n) for b in range(n)}
-        return PairSet(self.universe, frozenset(full - self.pairs))
+        full = frozenset(itertools.product(self.universe.elements(), repeat=2))
+        return _pairset(self.universe, full - self.pairs)
 
     def issubset(self, other: "PairSet") -> bool:
         _check_same_universe(self.universe, other.universe, "pair-set comparison")
         return self.pairs <= other.pairs
+
+
+def _pairset(u: Universe, pairs: Iterable) -> PairSet:
+    """The pair set of ``pairs``, already known to lie in ``u``, built without the per-pair check."""
+    s = object.__new__(PairSet)
+    s.__dict__.update(universe=u, pairs=frozenset(pairs))
+    return s
 
 
 @dataclass(frozen=True)
@@ -183,7 +198,8 @@ def make_partition(universe: UniverseLike, blocks: Iterable[Iterable[int]]) -> P
         if not block:
             raise EmptyBlock("empty block is not allowed")
         for x in block:
-            if not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < n):
+            # An in-range Python int passes the first test alone; _is_element admits numpy integers.
+            if (not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < n)) and not _is_element(x, n):
                 raise IndexOutOfRange(f"element {x!r} outside universe of size {n}")
             if owner[x]:
                 raise OverlappingBlocks(f"element {x} appears in more than one block")
@@ -259,7 +275,8 @@ def is_dit(p: Partition, a: int, b: int) -> bool:
 def ditset(p: Partition) -> PairSet:
     """The set of ordered pairs distinguished by ``p``.
 
-    Materialized explicitly; for universes above ``DITSET_MATERIALIZE_BOUND``
+    Materialized explicitly, block by block, as the union of ``B x (U - B)``
+    over the blocks ``B``; for universes above ``DITSET_MATERIALIZE_BOUND``
     use :func:`is_dit` for membership instead (raises :class:`BoundExceeded`).
     """
     n = p.universe.size
@@ -268,19 +285,23 @@ def ditset(p: Partition) -> PairSet:
             f"ditset materialization for n={n} exceeds bound {DITSET_MATERIALIZE_BOUND}; "
             "use is_dit for membership queries"
         )
-    ids = p._block_of
-    pairs = frozenset((a, b) for a in range(n) for b in range(n) if ids[a] != ids[b])
-    return PairSet(p.universe, pairs)
+    # One product per block B, with every element outside B: fewer iterators than one per block pair.
+    flat = tuple(itertools.chain.from_iterable(p.blocks))
+    rows, start = [], 0
+    for block in p.blocks:
+        end = start + len(block)
+        rows.append(itertools.product(block, flat[:start] + flat[end:]))
+        start = end
+    return _pairset(p.universe, itertools.chain.from_iterable(rows))
 
 
 def inditset(p: Partition) -> PairSet:
-    """The complement of the ditset: pairs lying in a common block."""
+    """The complement of the ditset: pairs lying in a common block, ``B x B`` per block."""
     n = p.universe.size
     if n > DITSET_MATERIALIZE_BOUND:
         raise BoundExceeded(f"inditset materialization for n={n} exceeds bound {DITSET_MATERIALIZE_BOUND}")
-    ids = p._block_of
-    pairs = frozenset((a, b) for a in range(n) for b in range(n) if ids[a] == ids[b])
-    return PairSet(p.universe, pairs)
+    squares = (itertools.product(b, repeat=2) for b in p.blocks)
+    return _pairset(p.universe, itertools.chain.from_iterable(squares))
 
 
 def refines(sigma: Partition, pi: Partition) -> bool:

@@ -145,6 +145,13 @@ def make_partition_loop(universe, blocks) -> Partition:
     return Partition(u, tuple(cleaned))
 
 
+def ditset_loop(p, distinct=True) -> frozenset:
+    """Reference for ``partitions.ditset`` (``distinct=False``: ``inditset``): the test on every ordered pair."""
+    n = p.universe.size
+    ids = p._block_of
+    return frozenset((a, b) for a in range(n) for b in range(n) if (ids[a] != ids[b]) == distinct)
+
+
 def product_measure_loop(region, p):
     """Reference for ``classical.product_measure``: ``w[a] w[b]`` added left to right over the sorted pairs."""
     w = p.weights

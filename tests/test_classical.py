@@ -79,6 +79,16 @@ def test_probdist_accepts_ints_fractions_and_numpy_scalars():
         assert ProbDist(w).weights == w
 
 
+def test_probdist_names_the_first_negative_weight_before_forming_numerators():
+    for w, first in [((F(1, 2), F(-1, 4), -1, F(7, 4)), "-1/4"), ((2, -1), "-1"), ((0.5, -0.25, 0.75), "-0.25")]:
+        with pytest.raises(InvalidDistribution, match=f"^negative weight {first}$"):
+            ProbDist(w)
+    # Denominators past the exact bound: the sign check still comes first.
+    w = [F(1, 10 ** 4000 + 2 * i + 1) for i in range(80)] + [F(-1, 3)]
+    with pytest.raises(InvalidDistribution, match="^negative weight -1/3$"):
+        ProbDist(tuple(w))
+
+
 def test_jointdist_validation_and_marginals():
     with pytest.raises(LengthMismatch):
         JointDist(((F(1, 2),), (F(1, 4), F(1, 4))))

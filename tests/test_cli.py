@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import helpers
 from ditlab import classical, cli, density, logic, quantum
@@ -550,6 +552,32 @@ def test_exponent_strings_exit_two(tmp_path, text):
                  ["measure", "--state", state, "--observable", obs]):
         code, out, err = run(argv)
         assert (code, out) == (2, "") and "exponent notation" in err
+
+
+@given(st.text(alphabet="0123456789/+- ._\u0663\u00b2", max_size=12))
+@example("007/003")
+@example("0/0")
+@example("00/000")
+@example("1/0")
+@example("/3")
+@example("3/")
+@example("1/2/3")
+@example("-1/2")
+@example(" 1/2 ")
+@example("\u0661/\u0662")  # Arabic-Indic digits
+@example("\u00b2/3")  # a superscript digit: isdigit() is true, int() refuses it
+@example("1" * 4301 + "/1")
+@example("1/" + "1" * 4301)
+def test_parse_number_matches_fraction_on_strings(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(cli.InputSchemaError) as raised:
+            cli._parse_number(text, "w.json")
+        assert str(raised.value) == f"w.json: cannot parse {text!r} as a rational"
+    else:
+        got = cli._parse_number(text, "w.json")
+        assert got == want and type(got) is type(want)
 
 
 _HUGE = 10 ** 3000 + 7

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ditlab
 import helpers
 from ditlab.classical import ProbDist, hamming_distance, logical_entropy
 from ditlab.density import (
@@ -361,3 +362,7 @@ def test_overflowing_hermitian_gap_is_not_hermitian():
     """Finite entries whose gap rho - rho^dagger overflows are not called non-finite."""
     with pytest.raises(NotHermitian):
         validate_density([[0.5, 1e308], [-1e308, 0.5]])
+
+
+def test_package_exports_the_projectors_the_readme_imports():
+    assert ditlab.projectors_from_partition is projectors_from_partition

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +189,60 @@ def test_pairset_universe_mismatch():
         ditset(top(3)).union(ditset(top(4)))
     with pytest.raises(IndexOutOfRange):
         PairSet(Universe(2), frozenset({(0, 5)}))
+
+
+def _labels(n):
+    return st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+
+
+# Two random partitions of one universe of size 1..8, from random labels.
+_partition_pairs = st.integers(1, 8).flatmap(lambda n: st.tuples(_labels(n), _labels(n))).map(
+    lambda pair: tuple(partitions._grouped(Universe(len(labels)), labels) for labels in pair))
+
+
+@given(_partition_pairs)
+@settings(max_examples=200)
+def test_ditset_and_inditset_match_the_pairwise_reference(pair):
+    for p in pair:
+        assert ditset(p) == PairSet(p.universe, helpers.ditset_loop(p))
+        assert inditset(p) == PairSet(p.universe, helpers.ditset_loop(p, distinct=False))
+
+
+@given(_partition_pairs)
+@settings(max_examples=200)
+def test_pair_set_algebra_matches_frozenset_algebra(pair):
+    d, e = (ditset(p) for p in pair)
+    u = d.universe
+    square = frozenset(itertools.product(range(u.size), repeat=2))
+    for got, want in [(d.complement(), square - d.pairs), (inditset(pair[1]).complement(), e.pairs),
+                      (d.union(e), d.pairs | e.pairs), (d.intersection(e), d.pairs & e.pairs),
+                      (d.difference(e), d.pairs - e.pairs)]:
+        assert type(got) is PairSet and got.universe == u
+        assert type(got.pairs) is frozenset and got.pairs == want
+
+
+@pytest.mark.parametrize("member", [(0.5, 1), (True, 0), (0, np.True_), (1, 2, 3), (1,), "ab", (0, 3), (-1, 0)])
+def test_pairset_refuses_members_that_are_not_pairs_of_elements(member):
+    with pytest.raises(IndexOutOfRange, match=re.escape(f"pair {member!r} outside universe of size 3")):
+        PairSet(Universe(3), {member})
+
+
+def test_pairset_accepts_numpy_integers():
+    pairs = PairSet(Universe(3), {(np.int64(0), np.uint8(2)), (2, np.int32(1))})
+    assert pairs == PairSet(Universe(3), {(0, 2), (2, 1)})
+
+
+def test_make_partition_accepts_numpy_integer_elements():
+    assert make_partition(3, np.array([[0, 1, 2]])) == bottom(3)
+    p = make_partition(4, [[np.int64(3), np.uint8(0)], [1, np.int32(2)]])
+    assert p.blocks == ((0, 3), (1, 2)) and all(type(x) is int for b in p.blocks for x in b)
+    for blocks, error, message in [
+        ([[np.int64(0), np.int64(3)]], IndexOutOfRange, "element np.int64(3) outside universe of size 3"),
+        ([[np.True_, 0, 2]], IndexOutOfRange, "element np.True_ outside universe of size 3"),
+        ([[np.int64(1)], [0, 1, 2]], OverlappingBlocks, "element 1 appears in more than one block"),
+    ]:
+        with pytest.raises(error, match=re.escape(message)):
+            make_partition(3, blocks)
 
 
 # ------------------------------------------------------------- refinement
