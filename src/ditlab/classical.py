@@ -94,12 +94,11 @@ _REGION_CELLS = (
 )
 
 
-def _is_exact(x: Number) -> bool:
-    return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
-
-
 def _all_exact(values) -> bool:
-    """``all(map(_is_exact, values))`` for values with no bool, in C, stopping at the first inexact one."""
+    """Whether every value is an int or a Fraction, tested in C up to the first that is not.
+
+    For values :func:`_check_real` has passed, or that the library computed: no bool is among them.
+    """
     return all(map(isinstance, values, repeat((Fraction, int))))
 
 
@@ -146,11 +145,16 @@ class ProbDist:
         if not w:
             raise InvalidDistribution("a distribution needs at least one weight")
         _check_real(w, InvalidDistribution, "weight")
+        exact = _all_exact(w)
         # An exact weight's sign is its numerator's, which compares faster than a Fraction.
-        for sign in map(operator.attrgetter("numerator"), w) if _all_exact(w) else w:
+        for sign in map(operator.attrgetter("numerator"), w) if exact else w:
             if sign < 0:
                 raise InvalidDistribution(f"negative weight {next(x for x in w if x < 0)}")
-        values, d, _ = self._terms
+        # What _sums adds, formed once, here: exact weights as integer numerators over their
+        # common denominator d, the Fraction ones flagged; other weights as they are.
+        terms = (*_numerators(w), [isinstance(x, Fraction) for x in w]) if exact else (w, None, None)
+        object.__setattr__(self, "_terms", terms)
+        values, d, _ = terms
         if d is None:
             total = sum(w)
             if abs(total - 1) > FLOAT_TOL:
@@ -161,18 +165,6 @@ class ProbDist:
             except ValueError:  # more digits than Python converts to text
                 message = "weights do not sum to 1"
             raise InvalidDistribution(message)
-
-    @cached_property
-    def _terms(self) -> tuple:
-        """What :func:`_sums` adds, ``(values, d, fractions)``, formed once, by validation.
-
-        Exact weights are integer numerators over their common denominator ``d``, the
-        Fraction ones flagged in ``fractions``; other weights are added as they are.
-        """
-        w = self.weights
-        if _all_exact(w):
-            return *_numerators(w), [isinstance(x, Fraction) for x in w]
-        return w, None, None
 
     @property
     def size(self) -> int:
@@ -326,7 +318,7 @@ def _region_table(weights, ids_a, ids_b) -> list:
     if not cells:
         return [[0, 0], [0, 0]]
     w, a, b = zip(*cells)
-    if all(map(_is_exact, w)):
+    if _all_exact(w):
         nums, d = _numerators(w)
         # Every partial sum of products is at most (sum |n|)^2.
         fits = sum(map(abs, nums)) ** 2 < 2 ** 63
@@ -373,7 +365,7 @@ def _route(what: str, method: str, closed, oracle, small: bool, tol=FLOAT_TOL):
         return oracle()
     prof = closed()
     if method == "auto" and small:
-        _agree(f"{what}: closed form and oracle", prof, oracle(), _is_exact(prof.h_joint), tol)
+        _agree(f"{what}: closed form and oracle", prof, oracle(), _all_exact((prof.h_joint,)), tol)
     return prof
 
 

@@ -76,8 +76,12 @@ def _check_same_universe(a: Universe, b: Universe, what: str) -> None:
 
 
 def _is_element(x, n: int) -> bool:
-    """Whether ``x`` is in ``{0, ..., n-1}``: an integer, numpy's included, but not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and 0 <= x < n
+    """Whether ``x`` is in ``{0, ..., n-1}``: an integer, numpy's included, but not a bool.
+
+    A Python int is decided by its type alone, without the ``Integral`` check.
+    """
+    return (type(x) is int and 0 <= x < n
+            or isinstance(x, numbers.Integral) and not isinstance(x, bool) and 0 <= x < n)
 
 
 @dataclass(frozen=True)
@@ -198,8 +202,7 @@ def make_partition(universe: UniverseLike, blocks: Iterable[Iterable[int]]) -> P
         if not block:
             raise EmptyBlock("empty block is not allowed")
         for x in block:
-            # An in-range Python int passes the first test alone; _is_element admits numpy integers.
-            if (not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < n)) and not _is_element(x, n):
+            if not _is_element(x, n):
                 raise IndexOutOfRange(f"element {x!r} outside universe of size {n}")
             if owner[x]:
                 raise OverlappingBlocks(f"element {x} appears in more than one block")

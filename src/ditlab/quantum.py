@@ -72,7 +72,7 @@ class Observable:
         vals = [v.real if isinstance(v, complex) and v.imag == 0 else v for v in self.eigenvalues]
         classical._check_real(vals, InvalidObservable, "eigenvalue")
         for i, v in enumerate(vals):
-            if not classical._is_exact(v):
+            if not classical._all_exact((v,)):
                 v = vals[i] = float(v)
                 if not math.isfinite(v):
                     raise InvalidObservable(f"eigenvalue {v!r} is not finite")
@@ -80,7 +80,7 @@ class Observable:
         if not vals:
             raise InvalidObservable("an observable needs at least one eigenvalue")
         # With a float among them, the eigenvalues are grouped as floats.
-        if not all(map(classical._is_exact, vals)) and max(map(abs, vals)) > sys.float_info.max:
+        if not classical._all_exact(vals) and max(map(abs, vals)) > sys.float_info.max:
             raise InvalidObservable("an exact eigenvalue beyond the float range beside float ones")
         if self.eigenbasis is not None:
             b = np.asarray(self.eigenbasis).astype(np.complex128, copy=True)
@@ -143,7 +143,7 @@ class Observable:
     @cached_property
     def _classes(self) -> Partition:
         labels = self.eigenvalues
-        if not all(map(classical._is_exact, labels)):
+        if not classical._all_exact(labels):
             # Along the sorted values, each gap above the tolerance starts a new class.
             vals = [float(v) for v in labels]
             order = sorted(range(self.dim), key=vals.__getitem__)
@@ -457,7 +457,7 @@ def degeneracy_check(F: Observable, G: Observable) -> list:
     """
     fv = F.class_values()
     gv = G.class_values()
-    exact = all(classical._is_exact(v) for v in fv + gv)
+    exact = classical._all_exact(fv + gv)
     out = []
     cells = [(i, j) for i in range(len(fv)) for j in range(len(gv))]
     for a in range(len(cells)):

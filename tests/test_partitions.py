@@ -237,8 +237,8 @@ def test_make_partition_accepts_numpy_integer_elements():
     p = make_partition(4, [[np.int64(3), np.uint8(0)], [1, np.int32(2)]])
     assert p.blocks == ((0, 3), (1, 2)) and all(type(x) is int for b in p.blocks for x in b)
     for blocks, error, message in [
-        ([[np.int64(0), np.int64(3)]], IndexOutOfRange, "element np.int64(3) outside universe of size 3"),
-        ([[np.True_, 0, 2]], IndexOutOfRange, "element np.True_ outside universe of size 3"),
+        ([[np.int64(0), np.int64(3)]], IndexOutOfRange, f"element {np.int64(3)!r} outside universe of size 3"),
+        ([[np.True_, 0, 2]], IndexOutOfRange, f"element {np.True_!r} outside universe of size 3"),
         ([[np.int64(1)], [0, 1, 2]], OverlappingBlocks, "element 1 appears in more than one block"),
     ]:
         with pytest.raises(error, match=re.escape(message)):
