@@ -250,8 +250,12 @@ def _sum(values) -> Number:
     return reduce(operator.add, values, 0)
 
 
+def _purity(values) -> Number:
+    return _sum(v * v for v in values)
+
+
 def _logical(values) -> Number:
-    return 1 - _sum(v * v for v in values)
+    return 1 - _purity(values)
 
 
 def _bits(values) -> float:
@@ -384,7 +388,7 @@ class _Blocks:
 
     @property
     def weights(self) -> tuple:
-        """The weights of ``p``, which the carrier stands in for."""
+        """The weights of ``p``; ``bench/tracing.py`` reads them off a carrier it is passed."""
         return self.p.weights
 
     @cached_property

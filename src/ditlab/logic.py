@@ -8,14 +8,14 @@ the variables, a formula evaluates to a partition.  A formula is a
 under every assignment on every universe of size 2 through the bound; the
 checker never claims validity beyond the bound it searched.
 
-The search runs a compiled formula on the variables' block-id codes and builds
-partitions only for a counterexample, which the tree :func:`evaluate` re-checks.
-Inside, a value is its *indit mask*: bit ``y(y-1)/2 + x`` is set when ``x < y``
-share a block, so top is 0.  A join unites ditsets, so on masks it is ``a & b``
-and runs no kernel.  A meet is the equivalence closure of ``a | b`` and an
-implication that of ``b & ~a``; one memo per size maps each such *deciding
-mask* to its closure, so a kernel runs at most once per mask.  Each size's
-codes and masks are built together, in one pass, before its search starts.
+The search runs a compiled formula on *indit masks* end to end: bit
+``y(y-1)/2 + x`` is set when ``x < y`` share a block, so top is 0 and any other
+value is a counterexample.  A join unites ditsets, so on masks it is ``a & b``.
+A meet is the equivalence closure of ``a | b`` and an implication that of
+``b & ~a``; one memo per size maps each such *deciding mask* to its closure, so
+a kernel runs at most once per mask.  One table per size, built in one pass,
+holds every mask and its block-id code; codes are read off it only for a kernel
+call and for a counterexample, which the tree :func:`evaluate` re-checks.
 
 Grammar (``->`` associates to the right and binds loosest, ``&`` tightest)::
 
@@ -50,7 +50,6 @@ from .partitions import (
     UniverseLike,
     _as_universe,
     _bell_numbers,
-    _growth_strings,
     _grouped,
     _implication_code,
     _meet_code,
@@ -316,43 +315,41 @@ def check_tautology(
             f"{work_limit} assignments, the work limit"
         )
     for n in range(2, max_n + 1 if names else 3):
-        want = tuple(range(n))
-        value_of = _compiled(f, names, n)
+        table = _Masks(n)
+        value_of = _compiled(f, names, table)
         # No enumeration bound applies: the work limit is the only bound.
-        codes = _growth_strings(n) if names else []
-        for combo in itertools.product(codes, repeat=len(names)):
-            value = value_of(combo)
-            if value != want:
+        for masks in itertools.product(table.masks, repeat=len(names)):
+            value = value_of(masks)
+            if value:
                 # The tree evaluator on partitions must give the same value.
                 u = Universe(n)
-                env = {name: _grouped(u, code) for name, code in zip(names, combo)}
+                env = {name: _grouped(u, table[m]) for name, m in zip(names, masks)}
                 _agree(f"counterexample at n={n} and its re-evaluation",
-                       (_grouped(u, value),), (evaluate(f, env, u),), True, 0)
+                       (_grouped(u, table[value]),), (evaluate(f, env, u),), True, 0)
                 return TautologyVerdict(VerdictStatus.COUNTEREXAMPLE, max_n, (n, env))
     return TautologyVerdict(VerdictStatus.TAUTOLOGY_UP_TO_BOUND, max_n)
 
 
-def _compiled(f: Formula, names: list, n: int):
-    """``f`` on the size-``n`` universe: a tuple of codes, in the order of ``names``, to
-    a code, computed on indit masks."""
-    table = _Masks(n)
+def _compiled(f: Formula, names: list, table: _Masks):
+    """``f`` on the universe of ``table``'s size: a tuple of indit masks, in the order of
+    ``names``, to an indit mask."""
     closure = table.closure
 
     def build(node: Formula):
         if isinstance(node, Var):
             i = names.index(node.name)
-            return lambda codes: table[codes[i]]
+            return lambda masks: masks[i]
         if isinstance(node, (Const0, Const1)):
-            const = (1 << n * (n - 1) // 2) - 1 if isinstance(node, Const0) else 0
-            return lambda codes: const
+            const = table.masks[0] if isinstance(node, Const0) else 0  # the all-zeros code is bottom
+            return lambda masks: const
         lhs, rhs = build(node.lhs), build(node.rhs)
         if isinstance(node, Join):
-            return lambda codes: lhs(codes) & rhs(codes)
+            return lambda masks: lhs(masks) & rhs(masks)
         meets = isinstance(node, Meet)
         kernel = _meet_code if meets else _implication_code
 
-        def value(codes):
-            a, b = lhs(codes), rhs(codes)
+        def value(masks):
+            a, b = lhs(masks), rhs(masks)
             deciding = a | b if meets else b & ~a
             out = closure.get(deciding)
             if out is None:
@@ -361,14 +358,13 @@ def _compiled(f: Formula, names: list, n: int):
 
         return value
 
-    value_of = build(f)
-    return lambda codes: table[value_of(codes)]
+    return build(f)
 
 
 class _Masks(dict):
     """Codes of length ``n`` (tuples) and their indit masks (ints), each mapped to the other,
-    and ``closure`` with each mask as its own closure, all filled in one pass over prefixes:
-    a row holds a code, its mask and each block's members as bits, and a new block has none."""
+    the ``masks`` in growth-string order and ``closure`` with each mask as its own, all filled
+    in one pass over prefixes: a row holds a code, its mask and each block's members as bits."""
 
     def __init__(self, n: int):
         rows = [((0,), 0, (1,))]
@@ -376,6 +372,7 @@ class _Masks(dict):
             shift, bit = y * (y - 1) // 2, 1 << y
             rows = [(code + (b,), mask | m << shift, mates[:b] + (m | bit,) + mates[b + 1:])
                     for code, mask, mates in rows for b, m in enumerate(mates + (0,))]
-        self.closure = {}
+        self.masks = [mask for _, mask, _ in rows]
+        self.closure = dict(zip(self.masks, self.masks))
         for code, mask, _ in rows:
-            self[code], self[mask], self.closure[mask] = mask, code, mask
+            self[code], self[mask] = mask, code

@@ -164,8 +164,8 @@ class Partition:
 
     def block_containing(self, x: int) -> int:
         """Index (into ``blocks``) of the block holding element ``x``."""
-        if not (0 <= x < self.universe.size):
-            raise IndexOutOfRange(f"element {x} outside universe of size {self.universe.size}")
+        if not _is_element(x, self.universe.size):
+            raise IndexOutOfRange(f"element {x!r} outside universe of size {self.universe.size}")
         return self._block_of[x]
 
     def same_block(self, a: int, b: int) -> bool:

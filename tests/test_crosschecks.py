@@ -594,11 +594,12 @@ def formula_assignments(draw):
 def test_compiled_evaluator_equals_the_tree_evaluator(case):
     f, n, env = case
     names = logic.variables(f)
-    value_of = logic._compiled(f, names, n)
-    codes = tuple(env[name]._block_of for name in names)
+    table = logic._Masks(n)
+    value_of = logic._compiled(f, names, table)
+    masks = tuple(table[env[name]._block_of] for name in names)
     want = logic.evaluate(f, env, n)._block_of
-    assert value_of(codes) == want
-    assert value_of(codes) == want  # a second call answers from the memo
+    assert table[value_of(masks)] == want
+    assert table[value_of(masks)] == want  # a second call answers from the memo
 
 
 #: The bench's named formulas with their search bounds.
@@ -753,12 +754,12 @@ def test_witness_recheck_names_the_check(monkeypatch):
     real = logic._compiled
     found = []
 
-    def recording_counterexamples(f, names, n):
-        value_of = real(f, names, n)
+    def recording_counterexamples(f, names, table):
+        value_of = real(f, names, table)
 
-        def value(codes):
-            out = value_of(codes)
-            if out != tuple(range(n)):
+        def value(masks):
+            out = value_of(masks)
+            if out:  # top's indit mask is 0
                 found.append(out)
             return out
 

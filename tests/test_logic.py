@@ -336,6 +336,16 @@ def test_mask_table_is_full_before_any_lookup(n):
     assert all(table[table[code]] == code and table.closure[table[code]] == table[code] for code in codes)
 
 
+def test_search_enumerates_only_its_mask_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the search enumerated growth strings beside its mask table")
+
+    monkeypatch.setattr(partitions, "_growth_strings", refuse)
+    monkeypatch.setattr(logic, "_growth_strings", refuse, raising=False)
+    assert check_tautology(parse("(p & (p -> q)) -> q"), 5).is_tautology_up_to_bound
+    assert check_tautology(parse("p | q"), 3).status is VerdictStatus.COUNTEREXAMPLE
+
+
 def test_search_runs_one_kernel_call_per_deciding_mask(monkeypatch):
     meets = helpers.count_calls(monkeypatch, logic, "_meet_code")
     implications = helpers.count_calls(monkeypatch, logic, "_implication_code")

@@ -143,6 +143,14 @@ def test_block_lookup():
         p.block_containing(5)
 
 
+@pytest.mark.parametrize("x", [True, 1.0, "0", -1, 5])
+def test_element_queries_refuse_what_is_not_an_element(x):
+    p = make_partition(5, [[0, 3], [1, 2], [4]])
+    for query in (p.block_containing, lambda x: p.same_block(0, x), lambda x: is_dit(p, x, 0)):
+        with pytest.raises(IndexOutOfRange, match=re.escape(f"element {x!r} outside universe of size 5")):
+            query(x)
+
+
 # ---------------------------------------------------------------- ditsets
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
