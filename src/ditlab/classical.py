@@ -31,10 +31,11 @@ the Shannon joint entropy and the transform's table stay two routes.
 The brute-force oracle, ``_region_table``, sums ``w w'`` over
 ordered pairs of cells into a 2x2 table indexed by which partitions
 distinguish the pair; each quantity is a region of it (``_REGION_CELLS``).
-It is a numpy kernel over row chunks of ``w w^T`` that adds each region
-left to right in the order of the double loop over cells, so float
-results are those of that loop to the bit; exact weights run on integer
-numerators over one common denominator, so exact results stay exact.
+On a few cells it runs the double loop over cells; above
+``_REGION_LOOP_CELLS`` a numpy kernel over row chunks of ``w w^T`` adds
+each region left to right in that loop's order, so float results are the
+loop's to the bit.  Exact weights run on integer numerators over one
+common denominator, so exact results stay exact, of the loop's types.
 :func:`entropy_profile` fills the same table from explicit ditsets, whose
 :func:`product_measure` adds exact weights as integer numerators.
 
@@ -81,6 +82,10 @@ EXACT_DENOMINATOR_DIGITS = 10_000
 #: temporaries stays near 0.5 MB.
 _REGION_CHUNK = 2 ** 16
 
+#: Most cells on which the region oracle runs its double loop in Python,
+#: which is faster than its numpy kernel's fixed cost up to about this size.
+_REGION_LOOP_CELLS = 12
+
 #: The six profile quantities, in field order, as regions of the table
 #: ``t[first partition distinguishes][second distinguishes]``: first, second,
 #: joint, first only, second only, both.
@@ -110,22 +115,26 @@ def _check_real(values, error, what: str) -> None:
             raise error(f"{what} {x!r} is not a real number")
 
 
-def _numerators(weights) -> tuple:
+def _numerators(weights, denominators=None) -> tuple:
     """Exact weights as integer numerators over their common denominator ``d``.
 
-    Returns ``(numerators, d)``.  ``d`` is grown one weight at a time, and
-    :class:`BoundExceeded` is raised as soon as it has more than
+    Takes a sequence of exact weights (ints and Fractions), or their reduced
+    numerators as ints with their ``denominators``.  Returns
+    ``(numerators, d)``.  ``d`` is grown one distinct denominator at a time,
+    and :class:`BoundExceeded` is raised as soon as it has more than
     ``EXACT_DENOMINATOR_DIGITS`` digits, before any numerator is formed.
     """
+    if denominators is None:
+        weights, denominators = [x.numerator for x in weights], [x.denominator for x in weights]
     d = 1
-    for x in weights:
-        d = math.lcm(d, x.denominator)
+    for b in set(denominators):
+        d = math.lcm(d, b)
         # 10**k has more than 3k bits, so the cheap test comes first.
         if d.bit_length() > 3 * EXACT_DENOMINATOR_DIGITS and d >= 10 ** EXACT_DENOMINATOR_DIGITS:
             raise BoundExceeded(
                 f"exact weights need a common denominator of more than "
                 f"{EXACT_DENOMINATOR_DIGITS} digits")
-    return [x.numerator * (d // x.denominator) for x in weights], d
+    return [a * (d // b) for a, b in zip(weights, denominators)], d
 
 
 @dataclass(frozen=True)
@@ -135,6 +144,11 @@ class ProbDist:
     Weights may be Fractions/ints (exact backend) or floats.  They must be
     nonnegative and sum to one (exactly in the exact backend, within
     ``FLOAT_TOL`` otherwise).
+
+    Validation forms ``_terms``, what every sum reads.  A distribution
+    loaded from ``"a/b"`` strings is built from their ints by
+    :meth:`_from_ratios`, which forms its Fraction ``weights`` on their
+    first read; one built from its weights has them from the start.
     """
 
     weights: tuple
@@ -152,11 +166,17 @@ class ProbDist:
                 raise InvalidDistribution(f"negative weight {next(x for x in w if x < 0)}")
         # What _sums adds, formed once, here: exact weights as integer numerators over their
         # common denominator d, the Fraction ones flagged; other weights as they are.
-        terms = (*_numerators(w), [isinstance(x, Fraction) for x in w]) if exact else (w, None, None)
+        self._keep((*_numerators(w), [isinstance(x, Fraction) for x in w]) if exact else (w, None, None))
+
+    def _keep(self, terms: tuple) -> None:
+        """Keep ``terms`` as ``_terms``, once the weights they hold sum to one."""
         object.__setattr__(self, "_terms", terms)
         values, d, _ = terms
         if d is None:
-            total = sum(w)
+            try:
+                total = sum(values)
+            except OverflowError:  # an exact weight past the float range among the floats
+                total = math.inf
             if abs(total - 1) > FLOAT_TOL:
                 raise InvalidDistribution(f"weights sum to {total!r}, expected 1 within {FLOAT_TOL}")
         elif sum(values) != d:
@@ -166,9 +186,35 @@ class ProbDist:
                 message = "weights do not sum to 1"
             raise InvalidDistribution(message)
 
+    @classmethod
+    def _from_ratios(cls, numerators: list, denominators: list) -> "ProbDist":
+        """``ProbDist(tuple(map(Fraction, numerators, denominators)))``, built from the ints.
+
+        For nonnegative numerators over positive denominators.  ``_terms``
+        and every check are those of that call; ``weights`` is formed from
+        the reduced ints when it is first read.
+        """
+        if not numerators:
+            raise InvalidDistribution("a distribution needs at least one weight")
+        g = list(map(math.gcd, numerators, denominators))
+        ratios = list(map(operator.floordiv, numerators, g)), list(map(operator.floordiv, denominators, g))
+        p = object.__new__(cls)
+        object.__setattr__(p, "_ratios", ratios)
+        p._keep((*_numerators(*ratios), [True] * len(g)))
+        return p
+
+    def __getattr__(self, name):
+        """The Fraction ``weights`` of a distribution built by :meth:`_from_ratios`, formed once."""
+        ratios = self.__dict__.get("_ratios")
+        if name != "weights" or ratios is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        w = tuple(map(Fraction, *ratios))
+        object.__setattr__(self, "weights", w)
+        return w
+
     @property
     def size(self) -> int:
-        return len(self.weights)
+        return len(self._terms[0])
 
     @property
     def is_exact(self) -> bool:
@@ -306,49 +352,82 @@ def _region_table(weights, ids_a, ids_b) -> list:
     the first partition and ``ids_b[k]`` of the second.  ``t[da][db]`` sums
     ``w w'`` over the pairs whose a-blocks differ (``da``) and whose
     b-blocks differ (``db``); :func:`_regions` reads the six quantities off
-    it.
+    it.  Values and types are those of the double loop over the cells of
+    nonzero weight that adds each product to a region starting at the int 0.
 
-    Every pair's product is formed, in row chunks of ``w w^T`` of at most
-    ``_REGION_CHUNK`` pairs, and each region's products are added to its
-    running total by a cumulative sum (``np.add.accumulate``, which is what
-    ``np.cumsum`` runs).  That is a strict left-to-right fold in
-    row-major pair order, so float results are bit-for-bit those of the
-    double loop over cells.  Exact weights run on integer numerators over
-    their common denominator ``D`` (int64 while no partial sum can
-    overflow it, Python ints otherwise), and each total is one
-    ``Fraction(total, D^2)``.  A region with no pair stays the int 0.
+    Up to ``_REGION_LOOP_CELLS`` cells that loop runs; above, the numpy
+    kernel :func:`_region_kernel`.  Both add Python floats, or exact
+    weights' integer numerators over their common denominator ``D``.  A
+    region's total is then ``Fraction(total, D^2)`` if one of its pairs
+    holds a Fraction weight, else the int ``total // D^2``; on floats, an
+    ``np.float64`` if one of its pairs holds a numpy weight, else a float.
     """
     cells = [(w, a, b) for w, a, b in zip(weights, ids_a, ids_b) if w]
     if not cells:
         return [[0, 0], [0, 0]]
     w, a, b = zip(*cells)
-    if _all_exact(w):
-        nums, d = _numerators(w)
-        # Every partial sum of products is at most (sum |n|)^2.
-        fits = sum(map(abs, nums)) ** 2 < 2 ** 63
-        w = np.array(nums, dtype=np.int64 if fits else object)
-
-        def scalar(total):
-            return Fraction(int(total), d * d)
+    exact = _all_exact(w)
+    # The weights whose type a product takes: Fractions among exact weights, numpy scalars among floats.
+    wide = list(map(isinstance, w, repeat(Fraction if exact else np.generic)))
+    if exact:
+        w, d = _numerators(w)
+    if len(w) <= _REGION_LOOP_CELLS:
+        t, hit = [0] * 4, [False] * 4
+        cells = list(zip(w if exact else map(float, w), a, b, wide))
+        for x, i, j, f in cells:
+            for y, k, l, g in cells:
+                c = (i != k) << 1 | (j != l)
+                t[c] += x * y
+                if f or g:
+                    hit[c] = True
     else:
-        scalar = np.float64 if any(isinstance(x, np.generic) for x in w) else float
+        t, hit = _region_kernel(w, a, b, wide, exact)
+    if exact:
+        t = [Fraction(x, d * d) if h else x // (d * d) for x, h in zip(t, hit)]
+    else:
+        t = [np.float64(x) if h else x for x, h in zip(t, hit)]
+    return [t[:2], t[2:]]
+
+
+def _region_kernel(w, a, b, wide, exact: bool) -> tuple:
+    """The region totals of :func:`_region_table` on floats or on exact weights' integer
+    numerators, and which of them hold a pair with a ``wide`` weight.
+
+    Every pair's product is formed, in row chunks of ``w w^T`` of at most
+    ``_REGION_CHUNK`` pairs, and each region's products are added to its
+    running total by a cumulative sum (``np.add.accumulate``, which is what
+    ``np.cumsum`` runs).  That is a strict left-to-right fold in row-major
+    pair order, so float results are bit-for-bit those of the double loop.
+    Numerators run in int64 while no partial sum can overflow it, as Python
+    ints otherwise.
+    """
+    if exact:
+        # Every partial sum of products is at most (sum |n|)^2.
+        fits = sum(map(abs, w)) ** 2 < 2 ** 63
+        w = np.array(w, dtype=np.int64 if fits else object)
+    else:
         w = np.array(w, dtype=np.float64)
+    flags = np.array(wide) if any(wide) and not all(wide) else None  # only a mix needs pair flags
     a, b = np.array(a), np.array(b)
-    t = [None] * 4
+    t, hit = [None] * 4, [False] * 4
     step = max(1, _REGION_CHUNK // len(w))
     for r in range(0, len(w), step):
         rows = slice(r, r + step)
         pairs = w[rows, None] * w
         code = (a[rows, None] != a).view(np.uint8) << 1  # 2 (a differs) + (b differs)
         code |= b[rows, None] != b
+        touched = None if flags is None else flags[rows, None] | flags
         for k in range(4):
             v = pairs[code == k]
             if v.size:
                 # The loop's first step is 0 + w w', which turns -0.0 into 0.0.
                 v[0] += 0 if t[k] is None else t[k]
                 t[k] = np.add.accumulate(v)[-1]
-    t = [0 if x is None else scalar(x) for x in t]
-    return [t[:2], t[2:]]
+                if touched is not None and not hit[k]:
+                    hit[k] = bool(touched[code == k].any())
+    if flags is None:  # every weight wide, or none
+        hit = [x is not None and wide[0] for x in t]
+    return [0 if x is None else (int if exact else float)(x) for x in t], hit
 
 
 def _regions(cls, t):

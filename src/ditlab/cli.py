@@ -7,6 +7,9 @@ distances).  Inputs are small JSON documents tagged with a ``kind`` field;
 reports echo a hash of each input, list named quantities, and re-verify
 the defining identities with explicit residuals.
 
+Each document is loaded in one pass; :func:`_load_dist` reads a
+distribution's weights in one of three ways, each with the same result.
+
 Output is byte-for-byte deterministic: keys are emitted in fixed order,
 floats with 17 significant digits, exact rationals as ``"a/b"`` strings.
 Exit codes: 0 success, 2 malformed input, 3 mathematical invariant
@@ -22,9 +25,11 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -111,27 +116,71 @@ def _complex_array(value, ndim: int, path: str) -> np.ndarray:
         raise InputSchemaError(f"{path}: {exc}") from exc
 
 
+def _integer(doc: dict, field: str, path: str) -> int:
+    """The integer field ``field`` of ``doc``; a bool or any other type is malformed."""
+    value = doc[field]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputSchemaError(f"{path}: field {field!r} must be an integer")
+    return value
+
+
 def _load_partition(path: str):
     doc, digest = _load_document(path, "partition", "n", "blocks")
-    n, blocks = doc["n"], doc["blocks"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputSchemaError(f"{path}: field 'n' must be an integer")
+    n, blocks = _integer(doc, "n", path), doc["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise InputSchemaError(f"{path}: field 'blocks' must be a list of lists")
     return make_partition(n, blocks), digest
 
 
+#: A list of ``"a/b"`` weights, joined by commas: ASCII digits, ``/``, ASCII digits each.
+_RATIOS = re.compile(r"(?:[0-9]+/[0-9]+,)*[0-9]+/[0-9]+")
+
+
+def _ratios(weights: list):
+    """The numerators and denominators of ``weights`` as two lists of ints, if every weight is
+    a string of ASCII digits, ``/``, ASCII digits with a nonzero denominator; else ``None``.
+
+    Checked and split in C over the joined text; a weight with a comma is
+    told apart by the count of commas.  A number with more digits than
+    ``int`` converts also gives ``None``, so :func:`_parse_number` reports it.
+    """
+    try:
+        text = ",".join(weights)
+    except TypeError:  # a weight that is not a string
+        return None
+    if text.count(",") != len(weights) - 1 or not _RATIOS.fullmatch(text):
+        return None
+    try:
+        ints = list(map(int, text.replace("/", ",").split(",")))
+    except ValueError:
+        return None
+    numerators, denominators = ints[::2], ints[1::2]
+    return None if 0 in denominators else (numerators, denominators)
+
+
 def _load_dist(path: str):
+    """The distribution at ``path``, its weights read one of three ways, each with the same result.
+
+    A list of JSON floats goes to ``ProbDist`` as it is.  A list of
+    ``"a/b"`` strings is split into ints by :func:`_ratios` and built by
+    :meth:`ProbDist._from_ratios`, which forms no Fraction until ``weights``
+    is read.  Any other list goes weight by weight through :func:`_parse_number`.
+    """
     doc, digest = _load_document(path, "dist", "weights")
     weights = doc["weights"]
     if not isinstance(weights, list):
         raise InputSchemaError(f"{path}: field 'weights' must be a list")
+    if all(map(isinstance, weights, repeat(float))):
+        return ProbDist(tuple(weights)), digest
+    ratios = _ratios(weights)
+    if ratios is not None:
+        return ProbDist._from_ratios(*ratios), digest
     return ProbDist(tuple(_parse_number(w, path) for w in weights)), digest
 
 
 def _load_joint(path: str):
     doc, digest = _load_document(path, "joint", "x", "y", "matrix")
-    x, y, matrix = doc["x"], doc["y"], doc["matrix"]
+    x, y, matrix = _integer(doc, "x", path), _integer(doc, "y", path), doc["matrix"]
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise InputSchemaError(f"{path}: field 'matrix' must be a list of rows")
     if len(matrix) != x or any(len(r) != y for r in matrix):

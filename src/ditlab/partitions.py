@@ -8,9 +8,11 @@ the set of ordered pairs of elements lying in different blocks (its
 same block.  Partial order, join, meet and implication are all defined
 through these pair sets, with block-level implementations that are checked
 against the pair-set definitions in the test suite.  Every partition the
-library builds, from labels or from validated blocks, comes from :func:`_grouped`,
-and every pair set it derives, from blocks or from validated pair sets, from
-:func:`_pairset`, which checks no pair again (the public ``PairSet`` does).
+library builds from labels comes from :func:`_grouped`; :func:`make_partition`
+keeps validated blocks as they are, sorted, with the labels of its one pass
+as ``_block_of``.  Every pair set the library derives, from blocks or from
+validated pair sets, comes from :func:`_pairset`, which checks no pair again
+(the public ``PairSet`` does).
 
 Conventions used throughout:
 
@@ -187,30 +189,44 @@ class Partition:
 
 
 def make_partition(universe: UniverseLike, blocks: Iterable[Iterable[int]]) -> Partition:
-    """Validate raw blocks and group each element's block index with :func:`_grouped`.
+    """Validate raw blocks in one pass, then put them in canonical form.
 
     Raises :class:`EmptyBlock`, :class:`IndexOutOfRange`, :class:`OverlappingBlocks`
     or :class:`UncoveredElement`, for the first bad element in input order, when the
-    blocks fail to partition ``{0, ..., n-1}``.
+    blocks fail to partition ``{0, ..., n-1}``.  The pass labels each element with
+    the index of its block, so ``_block_of`` is those labels, renumbered if the
+    input's blocks are not in canonical order.  The blocks keep the input's own
+    ints, each block sorted and the blocks ordered by least element, as
+    ``Partition`` orders them (a numpy integer becomes an int).
     """
     u = _as_universe(universe)
     n = u.size
     blocks = list(map(tuple, blocks))
-    # Block index from 1 per element; blocks too few to cover n (an error) use a dict, not n slots.
-    owner = [0] * n if sum(map(len, blocks)) >= n else defaultdict(int)
-    for i, block in enumerate(blocks, 1):
+    # Block index per element; blocks too few to cover n (an error) use a dict, not n slots.
+    owner = [None] * n if sum(map(len, blocks)) >= n else defaultdict(lambda: None)
+    converted = False
+    for i, block in enumerate(blocks):
         if not block:
             raise EmptyBlock("empty block is not allowed")
         for x in block:
-            if not _is_element(x, n):
-                raise IndexOutOfRange(f"element {x!r} outside universe of size {n}")
-            if owner[x]:
+            if not (type(x) is int and 0 <= x < n):  # an in-range int skips the call
+                if not _is_element(x, n):
+                    raise IndexOutOfRange(f"element {x!r} outside universe of size {n}")
+                converted = True
+            if owner[x] is not None:
                 raise OverlappingBlocks(f"element {x} appears in more than one block")
             owner[x] = i
     if len(owner) < n:  # a dict, then: every element seen is in range and seen once
         least = next(x for x in range(n) if x not in owner)
         raise UncoveredElement(f"elements covered by no block: {n - len(owner)}, the least is {least}")
-    return _grouped(u, owner)
+    canon = [tuple(sorted(map(int, b) if converted else b)) for b in blocks]
+    ordered = sorted(canon)  # by least element, since the blocks are disjoint
+    if ordered != canon:  # renumber the input's blocks in canonical order
+        rank = {b[0]: r for r, b in enumerate(ordered)}
+        owner = map([rank[b[0]] for b in canon].__getitem__, owner)
+    p = object.__new__(Partition)
+    p.__dict__.update(universe=u, blocks=tuple(ordered), _block_of=tuple(owner))
+    return p
 
 
 def _grouped(u: Universe, labels: Iterable) -> Partition:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ditlab import cli
 from ditlab.classical import JointDist, ProbDist
 from ditlab.errors import EmptyBlock, IndexOutOfRange, OverlappingBlocks, UncoveredElement
 from ditlab.logic import evaluate, variables
@@ -143,6 +144,15 @@ def make_partition_loop(universe, blocks) -> Partition:
         least = next(x for x in range(n) if x not in seen)
         raise UncoveredElement(f"elements covered by no block: {n - len(seen)}, the least is {least}")
     return Partition(u, tuple(cleaned))
+
+
+def load_dist_loop(path):
+    """Reference for ``cli._load_dist``: every weight through ``cli._parse_number``, then ``ProbDist``."""
+    doc, digest = cli._load_document(path, "dist", "weights")
+    weights = doc["weights"]
+    if not isinstance(weights, list):
+        raise cli.InputSchemaError(f"{path}: field 'weights' must be a list")
+    return ProbDist(tuple(cli._parse_number(w, path) for w in weights)), digest
 
 
 def ditset_loop(p, distinct=True) -> frozenset:

@@ -60,6 +60,12 @@ def test_probdist_validation():
     assert not ProbDist((0.25, 0.75)).is_exact
 
 
+@pytest.mark.parametrize("huge", [10 ** 400, F(10 ** 400, 3)])
+def test_probdist_refuses_an_exact_weight_past_the_float_range_among_floats(huge):
+    with pytest.raises(InvalidDistribution, match="weights sum to inf, expected 1"):
+        ProbDist((0.0, huge, 0.5))
+
+
 @pytest.mark.parametrize("bad", [True, np.True_, "1", 1j, None])
 def test_probdist_rejects_weights_that_are_not_real_numbers(bad):
     with pytest.raises(InvalidDistribution, match="is not a real number"):

@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import io
 import json
+import pickle
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from ditlab import classical, cli, density, logic, quantum
 from ditlab.classical import JointDist, ProbDist
+from ditlab.errors import DitlabError
 from ditlab.partitions import make_partition, top
 
 F = Fraction
@@ -118,6 +121,18 @@ def test_entropy_twoset_mode(tmp_path):
     assert q["h_pi"] == "1/2" and q["h_sigma"] == "1/2"
     assert q["h_joint"] == "1/2" and q["mutual"] == "1/2"
     assert q["h_pi_given_sigma"] == "0" or q["h_pi_given_sigma"] == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("x", True), ("x", 2.0), ("y", 2.0), ("y", False), ("x", "2"), ("y", None),
+])
+def test_joint_sizes_must_be_integers(tmp_path, field, value):
+    """A bool or a float that equals the row count is no size, as a partition's ``n`` is not."""
+    pi_f = write_doc(tmp_path, "pi.json", {"kind": "partition", "n": 2, "blocks": [[0], [1]]})
+    doc = {"kind": "joint", "x": 2, "y": 2, "matrix": [["1/2", "0"], ["0", "1/2"]], field: value}
+    j_f = write_doc(tmp_path, "j.json", doc)
+    code, out, err = run(["entropy", "--pi", pi_f, "--sigma", pi_f, "--joint", j_f])
+    assert (code, out) == (2, "") and f"field {field!r} must be an integer" in err
 
 
 def test_entropy_argument_conflicts(tmp_path, parity_file, uniform6_file):
@@ -615,6 +630,80 @@ def test_distribution_with_a_runaway_denominator_exits_four_fast(tmp_path):
     code, out, err = run(["entropy", "--pi", part, "--p", dist])
     assert (code, out) == (4, "") and "common denominator" in err
     assert time.perf_counter() - start < 0.5
+
+
+# ------------------------------------------------- loaders against their references
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("docs")
+
+
+def _loaded(load, path):
+    """What ``load`` gives for ``path``: the error's class and message, or the distribution's
+    exact form, weights, weight types and digest."""
+    try:
+        p, digest = load(path)
+    except (cli.InputSchemaError, DitlabError) as exc:
+        return type(exc), str(exc)
+    return p._terms, p.size, p.weights, list(map(type, p.weights)), digest
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=5)
+_ODD_RATIOS = st.sampled_from([
+    "0/0", "1/0", "3/00", "007/003", "00/1", "1" * 4301 + "/1", "1/" + "1" * 4301,
+    "\u0661/\u0662", "\u00b2/3", "1e5", "2/1e3", "1/2/3", "-1/2", " 1/2", "1/2,3/4", "/", "",
+])
+
+
+@st.composite
+def dist_weights(draw):
+    """Weight lists of one of three shapes: floats only, ``"a/b"`` strings only, or a mix with ints."""
+    counts = draw(st.lists(st.integers(0, 99), min_size=1, max_size=8).filter(any))
+    total = sum(counts)
+    shape = draw(st.sampled_from(["floats", "ratios", "mixed"]))
+    if shape == "floats":
+        weights = [c / total for c in counts]
+    else:
+        weights = [f"{'0' * draw(st.integers(0, 2))}{c}/{total}" for c in counts]
+    edits = st.floats(0, 2) if shape == "floats" else st.one_of(
+        _ODD_RATIOS, st.builds("{}/{}".format, _DIGITS, _DIGITS),
+        *([st.integers(0, 3), st.floats(0, 1)] if shape == "mixed" else []))
+    for _ in range(draw(st.integers(0 if shape != "mixed" else 1, 2))):
+        weights[draw(st.integers(0, len(weights) - 1))] = draw(edits)
+    return weights
+
+
+@given(dist_weights())
+@example([f"1/{10 ** 4000 + 2 * i + 1}" for i in range(5)])  # a runaway common denominator
+@example(["2/4", "0/3", "003/6"])  # unreduced ratios: the common denominator is 2
+@example([])
+@example([0.5, 0.5, True])
+@settings(deadline=None)
+def test_dist_loader_equals_its_reference(doc_dir, weights):
+    path = doc_dir / "p.json"
+    path.write_text(json.dumps({"kind": "dist", "weights": weights}))
+    got, want = _loaded(cli._load_dist, path), _loaded(helpers.load_dist_loop, path)
+    assert got == want, (got, want)
+
+
+def test_a_loaded_exact_distribution_behaves_as_one_built_from_its_weights(tmp_path):
+    path = write_doc(tmp_path, "p.json", {"kind": "dist", "weights": ["2/4", "1/6", "002/6", "0/5"]})
+    built = ProbDist((F(1, 2), F(1, 6), F(1, 3), F(0)))
+
+    def loaded():
+        p = cli._load_dist(path)[0]
+        assert "weights" not in p.__dict__ and p._terms == built._terms and p.size == 4
+        return p
+
+    assert loaded() == built and built == loaded() and hash(loaded()) == hash(built)
+    assert repr(loaded()) == repr(built)
+    for twin in (pickle.loads(pickle.dumps(loaded())), copy.copy(loaded()), copy.deepcopy(loaded()),
+                 dataclasses.replace(loaded())):
+        assert twin == built and twin._terms == built._terms
+    p = loaded()
+    assert p.weights is p.weights and list(map(type, p.weights)) == [Fraction] * 4
+    assert p.prob([0, 2]) == F(5, 6) and classical.dist_entropy(p) == classical.dist_entropy(built)
 
 
 # ------------------------------------------------------- failed identity checks

@@ -137,6 +137,57 @@ def test_region_kernel_at_the_chunk_boundary(n):
     assert all(_same(got[i][j], want[i][j]) for i in (0, 1) for j in (0, 1))
 
 
+#: The narrow and the wide weight of each kind: a region's total is wide if one of its pairs is.
+_REGION_KINDS = {
+    "int/Fraction": (int, lambda k: Fraction(k, 7)),
+    "float": (lambda k: k / 7, lambda k: k / 7),
+    "np.float64": (lambda k: np.float64(k / 7), lambda k: np.float64(k / 7)),
+    "float/np.float64": (lambda k: k / 7, lambda k: np.float64(k / 7)),
+}
+
+
+def _region_cases(kind, cells, rng):
+    """Weight lists with ``cells`` nonzero weights and zeros between them, and their two id lists.
+
+    In case 0 every weight is narrow but the last, and one region's pairs hold narrow weights only.
+    """
+    narrow, wide = _REGION_KINDS[kind]
+    for case in range(20):
+        ks = [int(k) for k in rng.integers(1, 9, cells)]
+        nonzero = [(wide if case and rng.random() < 0.5 else narrow)(k) for k in ks[:-1]] + [wide(ks[-1])]
+        weights = []
+        for w in nonzero:
+            weights += [w] + [narrow(0), wide(0)][:int(rng.integers(0, 3))]
+        n = len(weights)
+        if case == 0:  # every cell in its own a-block, the last nonzero weight alone in b-block 1
+            ids_a, ids_b = list(range(n)), [0] * n
+            ids_b[max(i for i, w in enumerate(weights) if w)] = 1
+        else:
+            ids_a, ids_b = rng.integers(0, 3, n).tolist(), rng.integers(0, 2, n).tolist()
+        yield weights, ids_a, ids_b
+
+
+@pytest.mark.parametrize("kind", sorted(_REGION_KINDS))
+@pytest.mark.parametrize("above", [0, 1])
+def test_both_region_paths_equal_the_loop_bit_for_bit_and_type_for_type(monkeypatch, kind, above):
+    """The Python loop runs up to ``_REGION_LOOP_CELLS`` nonzero cells, the numpy kernel above."""
+    cells = classical._REGION_LOOP_CELLS + above
+    kernel = helpers.count_calls(monkeypatch, classical, "_region_kernel")
+    for weights, ids_a, ids_b in _region_cases(kind, cells, np.random.default_rng(cells)):
+        got = classical._region_table(weights, ids_a, ids_b)
+        want = helpers.region_table_loop(weights, ids_a, ids_b)
+        assert all(_same(got[i][j], want[i][j]) for i in (0, 1) for j in (0, 1)), (got, want)
+    assert len(kernel) == 20 * above
+
+
+@pytest.mark.parametrize("above", [0, 1])
+def test_both_region_paths_refuse_a_runaway_denominator(above):
+    cells = classical._REGION_LOOP_CELLS + above
+    weights = [Fraction(1, 10 ** 4000 + 2 * i + 1) for i in range(cells)]
+    with pytest.raises(errors.BoundExceeded, match="common denominator"):
+        classical._region_table(weights, range(cells), range(cells))
+
+
 @pytest.mark.parametrize("weight", [0.375, np.float64(0.375), Fraction(3, 8)])
 def test_region_kernel_with_a_single_nonzero_weight(weight):
     weights = [0.0] * 5 + [weight] + [0] * 5

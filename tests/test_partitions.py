@@ -253,6 +253,18 @@ def test_make_partition_accepts_numpy_integer_elements():
             make_partition(3, blocks)
 
 
+def test_make_partition_keeps_the_input_ints_and_returns_its_block_map():
+    """The blocks hold the document's own int objects, not copies, and ``_block_of`` is set."""
+    n = 1000
+    blocks = [list(range(n - 1, 499, -1)), list(range(0, 500, 2)), list(range(1, 500, 2))]
+    own = {x: x for b in blocks for x in b}
+    p = make_partition(n, blocks)
+    assert "_block_of" in p.__dict__
+    assert all(x is own[x] for b in p.blocks for x in b if x > 256)
+    assert p.blocks == (tuple(range(0, 500, 2)), tuple(range(1, 500, 2)), tuple(range(500, n)))
+    assert p._block_of == helpers.make_partition_loop(n, blocks)._block_of
+
+
 # ------------------------------------------------------------- refinement
 
 def test_refines_examples():
