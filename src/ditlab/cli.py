@@ -7,8 +7,8 @@ distances).  Inputs are small JSON documents tagged with a ``kind`` field;
 reports echo a hash of each input, list named quantities, and re-verify
 the defining identities with explicit residuals.
 
-Each document is loaded in one pass; :func:`_load_dist` reads a
-distribution's weights in one of three ways, each with the same result.
+Each document is loaded in one pass; a distribution's weights and a joint
+distribution's cells are each read as one list (see :func:`_load_dist`).
 
 Output is byte-for-byte deterministic: keys are emitted in fixed order,
 floats with 17 significant digits, exact rationals as ``"a/b"`` strings.
@@ -49,17 +49,13 @@ class InputSchemaError(Exception):
 
 # ------------------------------------------------------------------- loading
 
-def _read_file(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputSchemaError(f"cannot read {path}: {exc}") from exc
-
-
 def _load_document(path: str, expected_kind: str, *required: str):
     """The JSON object at ``path``, of kind ``expected_kind``, with the ``required`` fields."""
-    raw = _read_file(path)
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InputSchemaError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # bad UTF-8, bad JSON, or an integer too long to convert
@@ -76,7 +72,7 @@ def _load_document(path: str, expected_kind: str, *required: str):
 
 
 def _parse_number(x, path):
-    """JSON number or ``"a/b"`` string -> int/Fraction (exact) or float.
+    """JSON number or rational string, read by ``Fraction`` -> Fraction (exact) or float.
 
     Strings in exponent notation are refused: ``Fraction`` would build
     ``10 ** exponent`` in full, with no bound on the work.
@@ -90,10 +86,7 @@ def _parse_number(x, path):
     if isinstance(x, str):
         if "e" in x.lower():
             raise InputSchemaError(f"{path}: exponent notation in {x!r}; write a rational as a/b")
-        num, _, den = x.partition("/")
         try:
-            if x.isascii() and num.isdigit() and den.isdigit():  # what Fraction(x) parses, without its regex
-                return Fraction(int(num), int(den))
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputSchemaError(f"{path}: cannot parse {x!r} as a rational") from exc
@@ -179,14 +172,17 @@ def _load_dist(path: str):
 
 
 def _load_joint(path: str):
+    """The joint distribution at ``path``, its cells read as one list the way dist weights are."""
     doc, digest = _load_document(path, "joint", "x", "y", "matrix")
     x, y, matrix = _integer(doc, "x", path), _integer(doc, "y", path), doc["matrix"]
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise InputSchemaError(f"{path}: field 'matrix' must be a list of rows")
     if len(matrix) != x or any(len(r) != y for r in matrix):
         raise InputSchemaError(f"{path}: matrix shape does not match x={x}, y={y}")
-    rows = tuple(tuple(_parse_number(w, path) for w in r) for r in matrix)
-    return JointDist(rows), digest
+    cells = [w for r in matrix for w in r]
+    ratios = _ratios(cells)
+    cells = list(map(Fraction, *ratios)) if ratios else [_parse_number(w, path) for w in cells]
+    return JointDist(tuple(cells[i * y:(i + 1) * y] for i in range(x))), digest
 
 
 def _load_formula(path: str):

@@ -42,7 +42,7 @@ from .errors import (
     TraceNotOne,
     ZeroProbabilityEvent,
 )
-from .partitions import Partition, join
+from .partitions import Partition, _is_element, join
 
 #: Tolerance for Hermiticity, trace, positivity and projector checks.
 DENSITY_TOL = 1e-10
@@ -131,13 +131,13 @@ def rho_event(indices: Sequence[int], p: ProbDist) -> np.ndarray:
 
     A rank-one projector onto the unit vector with amplitudes
     ``sqrt(p_j/Pr(S))`` on the event.  Raises :class:`IndexOutOfRange` for
-    an index that is not an int in ``range(p.size)`` and
-    :class:`ZeroProbabilityEvent` when the event carries no probability.
+    an index that is not an integer in ``range(p.size)`` (a bool is not one)
+    and :class:`ZeroProbabilityEvent` when the event carries no probability.
     """
     n = p.size
     indices = list(indices)
     for j in indices:
-        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < n:
+        if not _is_element(j, n):
             raise IndexOutOfRange(f"event index {j!r} outside universe of size {n}")
     idx = sorted(set(indices))
     pr = p.prob(idx)
@@ -204,20 +204,21 @@ def validate_projectors(projs) -> list:
         raise DimensionMismatch("projectors have mixed dimensions")
     if dim == 0:
         raise InvalidProjectorSet("projectors are 0 x 0")
-    # The sum comes first, so a NaN or infinite entry fails before the checks
-    # below subtract it from itself (numpy warns on inf - inf).
-    if not float(np.max(np.abs(sum(mats) - np.eye(dim)))) <= DENSITY_TOL:
-        raise InvalidProjectorSet(
-            f"projectors do not sum to the identity within {DENSITY_TOL}, or are not finite")
-    for i, P in enumerate(mats):
-        if not float(np.max(np.abs(P - P.conj().T))) <= DENSITY_TOL:
-            raise InvalidProjectorSet(f"projector {i} is not Hermitian within {DENSITY_TOL}")
-        if not float(np.max(np.abs(P @ P - P))) <= DENSITY_TOL:
-            raise InvalidProjectorSet(f"projector {i} is not idempotent within {DENSITY_TOL}")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not float(np.max(np.abs(mats[i] @ mats[j]))) <= DENSITY_TOL:
-                raise InvalidProjectorSet(f"projectors {i} and {j} are not orthogonal within {DENSITY_TOL}")
+    # Overflow and NaN fail the gap tests silently; the sum comes first, so inf or NaN fails there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not float(np.max(np.abs(sum(mats) - np.eye(dim)))) <= DENSITY_TOL:
+            raise InvalidProjectorSet(
+                f"projectors do not sum to the identity within {DENSITY_TOL}, or are not finite")
+        for i, P in enumerate(mats):
+            if not float(np.max(np.abs(P - P.conj().T))) <= DENSITY_TOL:
+                raise InvalidProjectorSet(f"projector {i} is not Hermitian within {DENSITY_TOL}")
+            if not float(np.max(np.abs(P @ P - P))) <= DENSITY_TOL:
+                raise InvalidProjectorSet(f"projector {i} is not idempotent within {DENSITY_TOL}")
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                if not float(np.max(np.abs(mats[i] @ mats[j]))) <= DENSITY_TOL:
+                    raise InvalidProjectorSet(
+                        f"projectors {i} and {j} are not orthogonal within {DENSITY_TOL}")
     return mats
 
 

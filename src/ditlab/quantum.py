@@ -313,8 +313,9 @@ def _joint_eigenbasis(F: Observable, G: Observable):
         return uf, list(F.eigenvalues), list(G.eigenvalues)
 
     fm, gm = F.matrix(), G.matrix()
-    comm = float(np.max(np.abs(fm @ gm - gm @ fm)))
-    if comm > COMMUTATION_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # huge eigenvalues leave a NaN: refused
+        comm = float(np.max(np.abs(fm @ gm - gm @ fm)))
+    if not comm <= COMMUTATION_TOL:
         raise NotCommuting(
             f"max |FG - GF| = {comm:.3e} exceeds {COMMUTATION_TOL}; "
             "supply a shared eigenbasis or commuting observables"
@@ -333,7 +334,7 @@ def _joint_eigenbasis(F: Observable, G: Observable):
         g_vals.extend(float(v) for v in vals)
     basis = np.hstack(cols)
     gap = float(np.max(np.abs(basis.conj().T @ gm @ basis - np.diag(g_vals))))
-    if gap > math.sqrt(COMMUTATION_TOL):
+    if not gap <= math.sqrt(COMMUTATION_TOL):
         raise NotCommuting(
             f"joint diagonalization failed: residual off-diagonal {gap:.3e}"
         )

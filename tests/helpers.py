@@ -155,6 +155,18 @@ def load_dist_loop(path):
     return ProbDist(tuple(cli._parse_number(w, path) for w in weights)), digest
 
 
+def load_joint_loop(path):
+    """Reference for ``cli._load_joint``: every cell through ``cli._parse_number``, row by row, then ``JointDist``."""
+    doc, digest = cli._load_document(path, "joint", "x", "y", "matrix")
+    x, y, matrix = cli._integer(doc, "x", path), cli._integer(doc, "y", path), doc["matrix"]
+    if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
+        raise cli.InputSchemaError(f"{path}: field 'matrix' must be a list of rows")
+    if len(matrix) != x or any(len(r) != y for r in matrix):
+        raise cli.InputSchemaError(f"{path}: matrix shape does not match x={x}, y={y}")
+    rows = tuple(tuple(cli._parse_number(w, path) for w in r) for r in matrix)
+    return JointDist(rows), digest
+
+
 def ditset_loop(p, distinct=True) -> frozenset:
     """Reference for ``partitions.ditset`` (``distinct=False``: ``inditset``): the test on every ordered pair."""
     n = p.universe.size

@@ -555,6 +555,39 @@ def test_one_parser_serves_every_call_and_handlers_resolve_when_main_runs(monkey
     assert builds == ["build_parser"]
 
 
+#: Refusals with exit 2, one per message: (argv, the document at DOC, the message).  PI and P
+#: are a valid partition of 2 points and a valid distribution on them.
+_REFUSALS = {
+    "not-an-object": (["entropy", "--pi", "DOC", "--p", "P"], [1, 2], "DOC: expected a JSON object"),
+    "missing-field": (["entropy", "--pi", "DOC", "--p", "P"], {"kind": "partition", "n": 2},
+                      "DOC: missing field 'blocks'"),
+    "weights-not-a-list": (["entropy", "--pi", "PI", "--p", "DOC"], {"kind": "dist", "weights": "1/2"},
+                           "DOC: field 'weights' must be a list"),
+    "matrix-not-rows": (["entropy", "--pi", "PI", "--sigma", "PI", "--joint", "DOC"],
+                        {"kind": "joint", "x": 2, "y": 2, "matrix": ["1/4"] * 4},
+                        "DOC: field 'matrix' must be a list of rows"),
+    "matrix-shape": (["entropy", "--pi", "PI", "--sigma", "PI", "--joint", "DOC"],
+                     {"kind": "joint", "x": 2, "y": 2, "matrix": [["1/4"] * 2, ["1/4"] * 3]},
+                     "DOC: matrix shape does not match x=2, y=2"),
+    "joint-shannon": (["entropy", "--pi", "PI", "--sigma", "PI", "--joint", "DOC", "--shannon"],
+                      {"kind": "joint", "x": 2, "y": 2, "matrix": [["1/4"] * 2] * 2},
+                      "entropy: --shannon applies only to the single-universe mode"),
+    "demo-and-state": (["measure", "--demo", "die-parity", "--state", "DOC"],
+                       {"kind": "state", "amplitudes": [[1.0, 0.0]]},
+                       "measure: --demo replaces --state/--observable"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_schema_refusals_exit_two_with_their_message(tmp_path, case):
+    argv, doc, message = _REFUSALS[case]
+    files = {"DOC": write_doc(tmp_path, "doc.json", doc),
+             "PI": write_doc(tmp_path, "pi.json", {"kind": "partition", "n": 2, "blocks": [[0], [1]]}),
+             "P": write_doc(tmp_path, "p.json", {"kind": "dist", "weights": ["1/2", "1/2"]})}
+    code, out, err = run([files.get(a, a) for a in argv])
+    assert (code, out, err) == (2, "", f"ditlab: input error: {message.replace('DOC', files['DOC'])}\n")
+
+
 # ------------------------------------------------------- exact-number limits
 
 @pytest.mark.parametrize("text", ["1e1000000", "1E5", "2/1e3", "0.5e0"])
@@ -684,6 +717,43 @@ def test_dist_loader_equals_its_reference(doc_dir, weights):
     path = doc_dir / "p.json"
     path.write_text(json.dumps({"kind": "dist", "weights": weights}))
     got, want = _loaded(cli._load_dist, path), _loaded(helpers.load_dist_loop, path)
+    assert got == want, (got, want)
+
+
+def _joint_loaded(load, path):
+    """What ``load`` gives for ``path``: the error's class and message, or the joint
+    distribution's rows, cell types, exact form of its cells and digest."""
+    try:
+        j, digest = load(path)
+    except (cli.InputSchemaError, DitlabError) as exc:
+        return type(exc), str(exc)
+    return j.weights, [list(map(type, r)) for r in j.weights], j._flat._terms, digest
+
+
+@st.composite
+def joint_documents(draw):
+    """A :func:`dist_weights` list cut into rows of a length that divides it."""
+    cells = draw(dist_weights())
+    y = draw(st.sampled_from([d for d in range(1, len(cells) + 1) if len(cells) % d == 0]))
+    return {"x": len(cells) // y, "y": y, "matrix": [cells[i:i + y] for i in range(0, len(cells), y)]}
+
+
+@given(joint_documents())
+@example({"x": 0, "y": 2, "matrix": []})
+@example({"x": 2, "y": 0, "matrix": [[], []]})
+@example({"x": 0, "y": 0, "matrix": []})
+@example({"x": 1, "y": 2, "matrix": [["0/0", "1/1"]]})
+@example({"x": 2, "y": 1, "matrix": [["1/0"], ["1/1"]]})
+@example({"x": 1, "y": 2, "matrix": [["1" * 4301 + "/1", "0/1"]]})
+@example({"x": 1, "y": 2, "matrix": [["1/" + "1" * 4301, "1/1"]]})
+@example({"x": 1, "y": 2, "matrix": [["1e5", "0/1"]]})
+@example({"x": 2, "y": 2, "matrix": [["2/8", "0/3"], ["003/12", "6/12"]]})  # unreduced ratios
+@example({"x": 2, "y": 2, "matrix": [[0, 0.25], ["1/4", "1/2"]]})  # ints, floats and strings
+@settings(deadline=None)
+def test_joint_loader_equals_its_reference(doc_dir, doc):
+    path = doc_dir / "j.json"
+    path.write_text(json.dumps({"kind": "joint", **doc}))
+    got, want = _joint_loaded(cli._load_joint, path), _joint_loaded(helpers.load_joint_loop, path)
     assert got == want, (got, want)
 
 

@@ -127,6 +127,16 @@ def test_rho_event_rejects_indices_outside_the_universe(indices):
         rho_event(indices, ProbDist.uniform(3))
 
 
+def test_rho_event_accepts_numpy_integer_indices():
+    """Indices pass the element test partitions use: numpy integers are integers."""
+    p = ProbDist((F(1, 2), F(1, 4), F(1, 4)))
+    assert np.array_equal(rho_event([np.int64(0), np.int32(2)], p), rho_event([0, 2], p))
+    assert np.array_equal(rho_event(np.arange(3), p), rho_event([0, 1, 2], p))
+    assert np.array_equal(rho_event([np.int64(0)], ProbDist.uniform(3)), rho_event([0], ProbDist.uniform(3)))
+    with pytest.raises(IndexOutOfRange, match="outside universe of size 3"):
+        rho_event([np.int64(3)], p)
+
+
 # -------------------------------------------------------- rho_partition
 
 def test_rho_partition_die_matrix():
@@ -255,6 +265,23 @@ def test_stacked_projector_arrays_are_validated_like_lists():
 def test_luders_rejects_a_nan_projector():
     with pytest.raises(InvalidProjectorSet):
         luders([[1.0]], [[[math.nan]]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_luders_refuses_projectors_whose_square_overflows_without_a_warning():
+    """They sum to the identity and are Hermitian; P @ P overflows, and fails as not idempotent."""
+    p1 = np.array([[0.5, 1e200], [1e200, 0.5]])
+    with pytest.raises(InvalidProjectorSet, match="^projector 0 is not idempotent"):
+        luders(np.eye(2) / 2, [p1, np.eye(2) - p1])
+
+
+@pytest.mark.parametrize("p1, message", [
+    ([[1.0, 1.0], [0.0, 0.0]], "projector 0 is not Hermitian"),
+    (np.diag([2.0, 0.0]), "projector 0 is not idempotent"),
+], ids=["not-hermitian", "not-idempotent"])
+def test_projectors_that_sum_to_the_identity_are_still_checked_one_by_one(p1, message):
+    with pytest.raises(InvalidProjectorSet, match=f"^{message} within"):
+        validate_projectors([p1, np.eye(2) - np.asarray(p1)])
 
 
 def test_fundamental_identity_random_instances():

@@ -9,12 +9,13 @@ times deeper than ``logic.MAX_FORMULA_DEPTH``; the tautology runs search
 universes of at most 3 points under a small work limit.
 
 ``entropy`` runs on mutated ``partition`` documents against a fixed valid
-``dist``, and on ``dist`` documents whose weights are strings, ints,
-floats, bools and ``None``, but never NaN or Infinity.  A NaN weight still
-passes ``ProbDist``, so ``ditlab entropy`` prints ``"h_pi":nan`` and exits
-0.  That defect stays until it is fixed together with the benchmark, whose
-``cli_reports`` workload counts the NaN-weight operation as its known
-failure.  ``joint`` documents are not fuzzed.
+``dist``, on ``dist`` documents whose weights are strings, ints, floats,
+bools and ``None``, but never NaN or Infinity, and on ``joint`` documents
+with such cells, ragged or missing rows, cells nested too deep and odd
+sizes.  A NaN weight still passes ``ProbDist``, so ``ditlab entropy``
+prints ``"h_pi":nan`` and exits 0.  That defect stays until it is fixed
+together with the benchmark, whose ``cli_reports`` workload counts the
+NaN-weight operation as its known failure.
 """
 
 from __future__ import annotations
@@ -177,6 +178,36 @@ def dist_documents(draw):
     return [("--pi", PARITY), *sigma, ("--p", {"kind": "dist", "weights": weights})]
 
 
+#: Partitions of the two sides of a 2 x 3 joint document.
+PI2 = {"kind": "partition", "n": 2, "blocks": [[0], [1]]}
+SIGMA3 = {"kind": "partition", "n": 3, "blocks": [[0, 2], [1]]}
+
+
+@st.composite
+def joint_documents(draw):
+    """2 x 3 cells of one shape, up to two of them replaced by ``WEIGHTS``, then one change of shape."""
+    shape = draw(st.sampled_from([[["1/6"] * 3] * 2, [[1 / 6] * 3] * 2, [[1, 0, 0], [0, 0, 0]]]))
+    matrix = [list(r) for r in shape]
+    for _ in range(draw(st.integers(0, 2))):
+        matrix[draw(st.integers(0, 1))][draw(st.integers(0, 2))] = draw(WEIGHTS)
+    doc = {"kind": "joint", "x": 2, "y": 3, "matrix": matrix}
+    i, j = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+    change = draw(st.sampled_from(["none", "none", "ragged", "short", "deep", "flat", "x", "y", "empty"]))
+    if change == "ragged":
+        del matrix[i][j]
+    elif change == "short":
+        del matrix[i]
+    elif change == "deep":
+        matrix[i][j] = [matrix[i][j]]
+    elif change == "flat":
+        doc["matrix"] = matrix[i]
+    elif change in ("x", "y"):
+        doc[change] = draw(st.integers(-1, 4) | WEIGHTS)
+    elif change == "empty":  # no rows (x = 0) or empty rows (y = 0)
+        doc.update(draw(st.sampled_from([{"x": 0, "matrix": []}, {"y": 0, "matrix": [[], []]}])))
+    return [("--pi", PI2), ("--sigma", SIGMA3), ("--joint", doc)]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -218,6 +249,13 @@ def test_partition_documents_exit_cleanly(doc_dir, documents, shannon):
 @settings(max_examples=300, deadline=None)
 def test_dist_documents_exit_cleanly(doc_dir, documents, shannon):
     _run(doc_dir, "entropy", documents, *["--shannon"] * shannon)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(joint_documents())
+@settings(max_examples=300, deadline=None)
+def test_joint_documents_exit_cleanly(doc_dir, documents):
+    _run(doc_dir, "entropy", documents)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -233,6 +233,16 @@ def test_commuting_profile_rejects_noncommuting():
         commuting_profile(x, z, np.array([1.0, 0.0]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_commutator_that_overflows_is_refused_as_not_commuting_without_a_warning():
+    """Eigenvalues near the float limit overflow FG - GF to NaN, which is no commutator within tolerance."""
+    rng = np.random.default_rng(97)
+    f = Observable((1.7e308, 1.7e308, -1.7e308), helpers.random_unitary(rng, 3))
+    g = Observable((1.0, 2.0, 3.0), helpers.random_unitary(rng, 3))
+    with pytest.raises(NotCommuting, match=r"^max \|FG - GF\| = nan exceeds"):
+        commuting_profile(f, g, np.array([1.0, 0.0, 0.0]))
+
+
 def test_commuting_venn_identities():
     rng = np.random.default_rng(23)
     for _ in range(10):
