@@ -151,6 +151,11 @@ def test_product_measure_over_ditset_recovers_entropy():
             assert product_measure(ditset(part), p) == logical_entropy(part, p)
 
 
+def test_product_measure_refuses_a_pair_set_on_another_size():
+    with pytest.raises(UniverseMismatch, match="pair set on size 3, distribution on 2"):
+        product_measure(ditset(top(3)), ProbDist.uniform(2))
+
+
 # --------------------------------------------------------------- profile
 
 def test_profile_crossed_example():

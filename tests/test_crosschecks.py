@@ -196,6 +196,58 @@ def test_region_kernel_with_a_single_nonzero_weight(weight):
     assert type(t[0][0]) is type(weight) and [type(v) for v in t[0][1:] + t[1]] == [int] * 3
 
 
+def test_region_kernel_sums_past_int64_in_python_ints_above_the_loop_cut_off(monkeypatch):
+    weights = [Fraction(1, 2 ** 32 + 1), Fraction(1, 2 ** 32 + 3)] + [Fraction(k, 7) for k in range(1, 12)]
+    d = math.lcm(*(w.denominator for w in weights))
+    assert d * d >= 2 ** 63 and len(weights) > classical._REGION_LOOP_CELLS
+    ids_a, ids_b = [k % 3 for k in range(13)], [k % 2 for k in range(13)]
+    kernel = helpers.count_calls(monkeypatch, classical, "_region_kernel")
+    t = classical._region_table(weights, ids_a, ids_b)
+    assert len(kernel) == 1
+    assert t == helpers.region_table_loop(weights, ids_a, ids_b)
+    assert all(isinstance(v, Fraction) for row in t for v in row)
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 97, 2 ** 16])
+def test_region_kernel_on_mixed_float_weights_across_chunks(chunk):
+    """Plain floats beside ``np.float64``: a region is ``np.float64`` once one of its pairs holds one.
+
+    In case 0 the one ``np.float64`` is the last weight, alone in b-block 1,
+    so it reaches the kernel in its last chunk and one region holds plain
+    floats only; the other cases mix the two kinds at random.
+    """
+    rng = np.random.default_rng(chunk)
+    for case in range(10):
+        n = 40
+        weights = [k / 7 for k in rng.integers(1, 9, n).tolist()]
+        if case == 0:
+            weights[-1] = np.float64(weights[-1])
+            ids_a, ids_b = list(range(n)), [0] * (n - 1) + [1]
+        else:
+            weights = [np.float64(w) if rng.random() < 0.2 else w for w in weights]
+            ids_a, ids_b = rng.integers(0, 3, n).tolist(), rng.integers(0, 2, n).tolist()
+        with mock.patch.object(classical, "_REGION_CHUNK", chunk):
+            got = classical._region_table(weights, ids_a, ids_b)
+        want = helpers.region_table_loop(weights, ids_a, ids_b)
+        assert all(_same(got[i][j], want[i][j]) for i in (0, 1) for j in (0, 1)), (case, got, want)
+        if case == 0:
+            assert [type(v) for row in got for v in row] == [np.float64, int, float, np.float64]
+
+
+@pytest.mark.parametrize("dim", [13, 16, 64])
+def test_h_observable_state_value_is_the_pair_loop_bit_for_bit(monkeypatch, dim):
+    """``value``, which ``ditlab measure`` prints as ``h_F_psi``, is the kernel's sum over the qudits."""
+    rng = np.random.default_rng(dim)
+    kernel = helpers.count_calls(monkeypatch, classical, "_region_kernel")
+    for _ in range(3):
+        F = helpers.random_observable(rng, dim, basis="random")
+        psi = helpers.random_state(rng, dim)
+        p = np.abs(quantum._measured(F, psi).amp) ** 2
+        want = float(helpers.region_table_loop(p, F.eigenvalue_partition()._block_of, [0] * dim)[1][0])
+        assert quantum.h_observable_state(F, psi).value == want
+    assert len(kernel) == 3
+
+
 # ------------------------------------------------ the ditset oracle's product measure vs the fold
 
 def _regions_of(n):

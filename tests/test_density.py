@@ -156,6 +156,12 @@ def test_rho_partition_extremes():
     assert np.allclose(b, np.outer(root, root))
 
 
+def test_partition_densities_refuse_a_distribution_of_another_size():
+    for build in (rho_partition, ClassicalDensity):
+        with pytest.raises(DimensionMismatch, match="partition on size 6, distribution on 3"):
+            build(PARITY, ProbDist.uniform(3))
+
+
 def test_rho_partition_nonzero_pattern_is_indit():
     rng = np.random.default_rng(61)
     for n in (2, 4, 6):
@@ -249,6 +255,11 @@ def test_luders_validates_projectors():
 def test_projector_validation_rejects_non_finite_and_empty_matrices(projs):
     with pytest.raises(InvalidProjectorSet):
         validate_projectors(projs)
+
+
+def test_projector_validation_refuses_mixed_dimensions():
+    with pytest.raises(DimensionMismatch, match="^projectors have mixed dimensions$"):
+        validate_projectors([np.eye(2), np.eye(3)])
 
 
 def test_stacked_projector_arrays_are_validated_like_lists():
