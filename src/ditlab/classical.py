@@ -32,10 +32,11 @@ The brute-force oracle, ``_region_table``, sums ``w w'`` over
 ordered pairs of cells into a 2x2 table indexed by which partitions
 distinguish the pair; each quantity is a region of it (``_REGION_CELLS``).
 On a few cells it runs the double loop over cells; above
-``_REGION_LOOP_CELLS`` a numpy kernel over row chunks of ``w w^T`` adds
-each region left to right in that loop's order, so float results are the
-loop's to the bit.  Exact weights run on integer numerators over one
-common denominator, so exact results stay exact, of the loop's types.
+``_REGION_LOOP_CELLS`` a numpy kernel adds each row chunk of ``w w^T`` to
+the four regions in one scatter-add, left to right in that loop's order,
+so float results are the loop's to the bit.  Exact weights run on integer
+numerators over one common denominator, so exact results stay exact, of
+the loop's types.
 :func:`entropy_profile` fills the same table from explicit ditsets, whose
 :func:`product_measure` adds exact weights as integer numerators.
 
@@ -52,7 +53,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Sequence, Union
 
 import numpy as np
@@ -78,8 +79,8 @@ REGION_ORACLE_BOUND = 10 ** 6
 #: weights; every exact sum and region total is taken over it.
 EXACT_DENOMINATOR_DIGITS = 10_000
 
-#: Most cell pairs in one row chunk of the region oracle, so each of its
-#: temporaries stays near 0.5 MB.
+#: Most cell pairs in one row chunk of the region oracle, so its product and
+#: code buffers stay near 0.5 MB each.
 _REGION_CHUNK = 2 ** 16
 
 #: Most cells on which the region oracle runs its double loop in Python,
@@ -247,7 +248,7 @@ class JointDist:
     @cached_property
     def _flat(self) -> ProbDist:
         """The distribution on cells ``x * y_size + y``, built once, by validation."""
-        return ProbDist(tuple(x for r in self.weights for x in r))
+        return ProbDist(tuple(chain.from_iterable(self.weights)))
 
     @property
     def x_size(self) -> int:
@@ -393,13 +394,13 @@ def _region_kernel(w, a, b, wide, exact: bool) -> tuple:
     """The region totals of :func:`_region_table` on floats or on exact weights' integer
     numerators, and which of them hold a pair with a ``wide`` weight.
 
-    Every pair's product is formed, in row chunks of ``w w^T`` of at most
-    ``_REGION_CHUNK`` pairs, and each region's products are added to its
-    running total by a cumulative sum (``np.add.accumulate``, which is what
-    ``np.cumsum`` runs).  That is a strict left-to-right fold in row-major
-    pair order, so float results are bit-for-bit those of the double loop.
-    Numerators run in int64 while no partial sum can overflow it, as Python
-    ints otherwise.
+    Per row chunk of ``w w^T`` (at most ``_REGION_CHUNK`` pairs), buffers
+    allocated once take the products and the codes ``2 (a differs) + (b
+    differs)``, and one ``np.add.at`` adds the products to the four running
+    totals in index order: a strict left-to-right fold of each region in
+    row-major pair order from 0.0, so float results are bit-for-bit those
+    of the double loop.  Numerators run in int64 while no partial sum can
+    overflow it, as Python ints otherwise.
     """
     if exact:
         # Every partial sum of products is at most (sum |n|)^2.
@@ -408,26 +409,28 @@ def _region_kernel(w, a, b, wide, exact: bool) -> tuple:
     else:
         w = np.array(w, dtype=np.float64)
     flags = np.array(wide) if any(wide) and not all(wide) else None  # only a mix needs pair flags
-    a, b = np.array(a), np.array(b)
-    t, hit = [None] * 4, [False] * 4
-    step = max(1, _REGION_CHUNK // len(w))
-    for r in range(0, len(w), step):
+    # Region 0 holds (x, x); 1 (a same, b differs) holds a pair iff an a-block meets two b-blocks, and 2
+    # likewise; 3 iff each side has two blocks: then some (i, j) meets (i', j'), or (i', j) meets (i, j').
+    ua, ub, kab = sorted(set(a)), sorted(set(b)), len(set(zip(a, b)))
+    held = [True, kab > len(ua), kab > len(ub), len(ua) > 1 and len(ub) > 1]
+    # The codes by table: row ia[x] of ta holds 2 where a[y] != a[x], row ib[x] of tb 1 where b[y] != b[x].
+    a, b, ua, ub = np.array(a), np.array(b), np.array(ua), np.array(ub)
+    ia, ib = np.searchsorted(ua, a), np.searchsorted(ub, b)
+    ta, tb = (ua[:, None] != a).view(np.uint8) << 1, (ub[:, None] != b).view(np.uint8)
+    n, step = len(w), max(1, _REGION_CHUNK // len(w))
+    pairs, code = np.empty((min(step, n), n), w.dtype), np.empty((min(step, n), n), np.intp)
+    t, hit = np.zeros(4, w.dtype), np.zeros(4, bool)
+    for r in range(0, n, step):
         rows = slice(r, r + step)
-        pairs = w[rows, None] * w
-        code = (a[rows, None] != a).view(np.uint8) << 1  # 2 (a differs) + (b differs)
-        code |= b[rows, None] != b
-        touched = None if flags is None else flags[rows, None] | flags
-        for k in range(4):
-            v = pairs[code == k]
-            if v.size:
-                # The loop's first step is 0 + w w', which turns -0.0 into 0.0.
-                v[0] += 0 if t[k] is None else t[k]
-                t[k] = np.add.accumulate(v)[-1]
-                if touched is not None and not hit[k]:
-                    hit[k] = bool(touched[code == k].any())
+        p, c = pairs[:min(step, n - r)], code[:min(step, n - r)]
+        np.multiply(w[rows, None], w, out=p)
+        np.add(ta[ia[rows]], tb[ib[rows]], out=c)
+        np.add.at(t, c.ravel(), p.ravel())
+        if flags is not None:
+            np.logical_or.at(hit, c.ravel(), (flags[rows, None] | flags).ravel())
     if flags is None:  # every weight wide, or none
-        hit = [x is not None and wide[0] for x in t]
-    return [0 if x is None else (int if exact else float)(x) for x in t], hit
+        hit = [h and wide[0] for h in held]
+    return [x if h else 0 for x, h in zip(t.tolist(), held)], hit
 
 
 def _regions(cls, t):

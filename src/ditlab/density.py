@@ -77,12 +77,12 @@ def _validated(mat) -> _Density:
     with np.errstate(over="ignore", invalid="ignore"):
         # A NaN or infinite entry leaves a NaN or an infinity in rho - rho^dagger;
         # so do huge finite entries, which fail as NotHermitian below.
-        herm_gap = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if not math.isfinite(herm_gap) and not np.all(np.isfinite(m)):
+        herm_gap = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+        if not math.isfinite(herm_gap) and not np.isfinite(m).all():
             raise InvalidDensityMatrix("matrix has a non-finite entry")
         if herm_gap > DENSITY_TOL:
             raise NotHermitian(f"max |rho - rho^dagger| = {herm_gap:.3e} exceeds {DENSITY_TOL}")
-        tr = complex(np.trace(m))
+        tr = complex(m.trace())
         if abs(tr - 1) > DENSITY_TOL:
             raise TraceNotOne(f"trace is {tr}, expected 1 within {DENSITY_TOL}")
         evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
@@ -166,7 +166,7 @@ def rho_partition(pi: Partition, p: ProbDist) -> np.ndarray:
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
     """``Re tr[a b]``."""
-    return float(np.real(np.trace(a @ b)))
+    return float((a @ b).trace().real)
 
 
 def _entropy(m: np.ndarray) -> float:
@@ -206,17 +206,17 @@ def validate_projectors(projs) -> list:
         raise InvalidProjectorSet("projectors are 0 x 0")
     # Overflow and NaN fail the gap tests silently; the sum comes first, so inf or NaN fails there.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not float(np.max(np.abs(sum(mats) - np.eye(dim)))) <= DENSITY_TOL:
+        if not float(np.abs(sum(mats) - np.eye(dim)).max()) <= DENSITY_TOL:
             raise InvalidProjectorSet(
                 f"projectors do not sum to the identity within {DENSITY_TOL}, or are not finite")
         for i, P in enumerate(mats):
-            if not float(np.max(np.abs(P - P.conj().T))) <= DENSITY_TOL:
+            if not float(np.abs(P - P.conj().T).max()) <= DENSITY_TOL:
                 raise InvalidProjectorSet(f"projector {i} is not Hermitian within {DENSITY_TOL}")
-            if not float(np.max(np.abs(P @ P - P))) <= DENSITY_TOL:
+            if not float(np.abs(P @ P - P).max()) <= DENSITY_TOL:
                 raise InvalidProjectorSet(f"projector {i} is not idempotent within {DENSITY_TOL}")
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                if not float(np.max(np.abs(mats[i] @ mats[j]))) <= DENSITY_TOL:
+                if not float(np.abs(mats[i] @ mats[j]).max()) <= DENSITY_TOL:
                     raise InvalidProjectorSet(
                         f"projectors {i} and {j} are not orthogonal within {DENSITY_TOL}")
     return mats

@@ -231,9 +231,7 @@ def h_observable_state(F: Observable, psi) -> ObservableStateEntropy:
     p = np.abs(m.amp) ** 2
     # With one block on the second side, t[1][0] sums p_j p_k over the qudits.
     via_pairs = float(classical._region_table(p, m.part._block_of, [0] * F.dim)[1][0])
-    via_partition = float(
-        classical.logical_entropy(m.part, ProbDist(tuple(float(x) for x in p / p.sum())))
-    )
+    via_partition = float(classical.logical_entropy(m.part, ProbDist(tuple((p / p.sum()).tolist()))))
     via_measurement = density._entropy(m.rho_prime)
     routes = (via_pairs, via_partition, via_measurement)
     _agree("h(F:psi) routes pairs|partition|measurement and partition|measurement|pairs",
@@ -352,7 +350,7 @@ def commuting_profile(F: Observable, G: Observable, psi) -> QuantumProfile:
     p = np.abs(_state(psi, F.dim, basis)) ** 2
     pi_f = Observable(tuple(f_vals)).eigenvalue_partition()
     pi_g = Observable(tuple(g_vals)).eigenvalue_partition()
-    dist = ProbDist(tuple(float(x) for x in p / p.sum()))
+    dist = ProbDist(tuple((p / p.sum()).tolist()))
     return _profile_from_classical(classical.entropy_profile(pi_f, pi_g, dist))
 
 
@@ -376,10 +374,8 @@ def noncommuting_profile(
     amp = F.basis_matrix().conj().T @ v.reshape(n, n) @ G.basis_matrix().conj()
     p = np.abs(amp) ** 2
     p = p / p.sum()
-    joint = JointDist(tuple(tuple(float(x) for x in row) for row in p))
-    prof = classical.twoset_profile(
-        F.eigenvalue_partition(), G.eigenvalue_partition(), joint, method=method
-    )
+    joint = JointDist(tuple(map(tuple, p.tolist())))
+    prof = classical.twoset_profile(F.eigenvalue_partition(), G.eigenvalue_partition(), joint, method)
     return _profile_from_classical(prof)
 
 
