@@ -350,7 +350,7 @@ def commuting_profile(F: Observable, G: Observable, psi) -> QuantumProfile:
     p = np.abs(_state(psi, F.dim, basis)) ** 2
     pi_f = Observable(tuple(f_vals)).eigenvalue_partition()
     pi_g = Observable(tuple(g_vals)).eigenvalue_partition()
-    dist = ProbDist(tuple((p / p.sum()).tolist()))
+    dist = ProbDist(tuple(float(x) for x in p / p.sum()))
     return _profile_from_classical(classical.entropy_profile(pi_f, pi_g, dist))
 
 
