@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from ditlab import cli
-from ditlab.classical import JointDist, ProbDist
+from ditlab import classical, cli
+from ditlab.classical import EntropyProfile, JointDist, ProbDist
 from ditlab.errors import EmptyBlock, IndexOutOfRange, OverlappingBlocks, UncoveredElement
 from ditlab.logic import evaluate, variables
-from ditlab.partitions import Partition, Universe, _as_universe, enumerate_partitions, top
+from ditlab.partitions import PairSet, Partition, Universe, _as_universe, enumerate_partitions, top
 from ditlab.quantum import EIGENVALUE_GROUP_TOL, Observable
 
 
@@ -178,6 +178,25 @@ def product_measure_loop(region, p):
     """Reference for ``classical.product_measure``: ``w[a] w[b]`` added left to right over the sorted pairs."""
     w = p.weights
     return functools.reduce(operator.add, (w[a] * w[b] for a, b in sorted(region.pairs)), 0)
+
+
+def ditset_oracle_loop(pi, sigma, p) -> EntropyProfile:
+    """Reference for ``entropy_profile(pi, sigma, p, "regions")``: the ditset oracle on frozensets.
+
+    The two ditsets come from :func:`ditset_loop`, their three disjoint
+    regions from frozenset algebra, each region's product measure from
+    :func:`product_measure_loop`, and the six quantities from
+    ``classical._regions``, as the oracle reads them.
+    """
+    dit_pi, dit_sigma = ditset_loop(pi), ditset_loop(sigma)
+
+    def measure(pairs):
+        return product_measure_loop(PairSet(pi.universe, pairs), p)
+
+    return classical._regions(EntropyProfile, [
+        [None, measure(dit_sigma - dit_pi)],
+        [measure(dit_pi - dit_sigma), measure(dit_pi & dit_sigma)],
+    ])
 
 
 def block_probabilities_loop(blocks, weights) -> list:

@@ -21,7 +21,7 @@ from ditlab.classical import (
     JointDist, ProbDist, block_probabilities, entropy_profile, twoset_profile,
 )
 from ditlab.errors import InternalInconsistency
-from ditlab.partitions import PairSet, Universe, make_partition, top
+from ditlab.partitions import PairSet, Universe, ditset, make_partition, top
 from ditlab.quantum import Observable, measure, spectral_pair_bruteforce
 
 
@@ -297,6 +297,103 @@ def float_measure_cases(draw):
 @given(float_measure_cases())
 @settings(max_examples=300, deadline=None)
 def test_product_measure_equals_the_fold_bit_for_bit_on_float_weights(case):
+    region, p = case
+    assert _same(classical.product_measure(region, p), helpers.product_measure_loop(region, p))
+
+
+# ------------------------------------------------ the ditset oracle vs its frozenset loop
+
+_WEIGHT_KINDS = ("int and Fraction", "float", "np.float64", "float and np.float64", "int among floats")
+
+
+@st.composite
+def _weights(draw, n, kind):
+    """``n`` weights of ``kind`` (one of ``_WEIGHT_KINDS``) that sum to one, zero weights among them if drawn."""
+    if kind == "int and Fraction":
+        kinds = draw(st.lists(st.sampled_from(["int 0", "Fraction 0", "Fraction"]), min_size=n, max_size=n))
+        counts = [draw(st.integers(1, draw(st.sampled_from([9, 2 ** 70])))) if k == "Fraction" else 0
+                  for k in kinds]
+        if not any(counts):  # one int 1 or Fraction(1, 1) carries all the weight
+            kinds[0], counts[0] = draw(st.sampled_from(["int", "Fraction"])), 1
+        s = sum(counts)
+        return tuple(0 if k == "int 0" else Fraction(c, s) if k.startswith("Fraction") else c
+                     for k, c in zip(kinds, counts))
+    zero = st.just(0) if kind == "int among floats" else st.just(0.0)
+    raw = draw(st.lists(st.one_of(zero, st.floats(0, 1), st.floats(0, 1e-160)),
+                        min_size=n, max_size=n).filter(lambda w: sum(w) > 0.1))
+    total = sum(raw)
+    weights = [x / total if isinstance(x, float) else x for x in raw]
+    if kind == "int among floats" and draw(st.booleans()):  # an int 1 carries all the weight
+        weights = [0.0 if isinstance(x, float) else 0 for x in weights]
+        weights[draw(st.integers(0, n - 1))] = 1
+    if kind == "np.float64":
+        weights = list(map(np.float64, weights))
+    if kind == "float and np.float64":
+        weights = [np.float64(x) if draw(st.booleans()) else x for x in weights]
+    return tuple(weights)
+
+
+def _block_labels(n):
+    """Labels of ``n`` points in a drawn number of blocks."""
+    return st.integers(1, n).flatmap(lambda k: st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+
+
+@st.composite
+def oracle_cases(draw):
+    n = draw(st.integers(1, 8))
+    p = ProbDist(draw(_weights(n, draw(st.sampled_from(_WEIGHT_KINDS)))))
+    return _partition(draw(_block_labels(n))), _partition(draw(_block_labels(n))), p
+
+
+@given(oracle_cases())
+@settings(max_examples=500, deadline=None)
+def test_ditset_oracle_equals_the_frozenset_loop_in_value_and_type(case):
+    got, want = entropy_profile(*case, "regions"), helpers.ditset_oracle_loop(*case)
+    assert all(map(_same, astuple(got), astuple(want))), (got, want)
+
+
+def _seeded_weights(rng, n, kind) -> tuple:
+    """Weights of ``kind`` with a few zeros; ``"past 2**63"`` is exact over a denominator ``D`` with ``D^2 > 2^63``."""
+    if kind in ("int and Fraction", "past 2**63"):
+        counts = [int(c) for c in rng.integers(0, 2 ** 40 if kind == "past 2**63" else 12, size=n)]
+        counts[:3] = 0, 0, 1
+        s = sum(counts)
+        return tuple(0 if i == 0 else Fraction(c, s) for i, c in enumerate(counts))
+    raw = rng.random(n)
+    raw[:2] = 0.0
+    w = raw / raw.sum()
+    if kind == "float and np.float64":
+        return tuple(x if i % 2 else float(x) for i, x in enumerate(w))
+    return tuple(w.tolist() if kind == "float" else w)
+
+
+@pytest.mark.parametrize("n, kind, seed", [
+    (63, "int and Fraction", 630), (64, "int and Fraction", 640), (64, "past 2**63", 641),
+    (63, "past 2**63", 631), (63, "float", 632), (64, "float", 642), (64, "np.float64", 643),
+    (64, "float and np.float64", 644),
+])
+def test_ditset_oracle_equals_the_frozenset_loop_at_the_materialize_bound(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    pi, sigma = helpers.random_partition(rng, n), helpers.random_partition(rng, n)
+    p = ProbDist(_seeded_weights(rng, n, kind))
+    if kind == "past 2**63":
+        assert p._terms[1] ** 2 > 2 ** 63
+    got, want = entropy_profile(pi, sigma, p, "regions"), helpers.ditset_oracle_loop(pi, sigma, p)
+    assert all(map(_same, astuple(got), astuple(want))), (got, want)
+
+
+@st.composite
+def ditset_region_cases(draw):
+    """A region made by ditset algebra on two partitions of at most 64 points, and weights of one kind."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(9, classical.DITSET_MATERIALIZE_BOUND)))
+    d, e = (ditset(_partition(draw(_block_labels(n)))) for _ in range(2))
+    region = draw(st.sampled_from([d, d.complement(), d.union(e), d.intersection(e), d.difference(e)]))
+    return region, ProbDist(draw(_weights(n, draw(st.sampled_from(_WEIGHT_KINDS)))))
+
+
+@given(ditset_region_cases())
+@settings(max_examples=200, deadline=None)
+def test_product_measure_equals_the_fold_on_regions_of_ditset_algebra(case):
     region, p = case
     assert _same(classical.product_measure(region, p), helpers.product_measure_loop(region, p))
 

@@ -27,6 +27,9 @@ CASES = {
     "entropy_pair_float_shannon":
         ["entropy", "--pi", "@pi9.json", "--sigma", "@sigma9.json",
          "--p", "@p9_float.json", "--shannon"],
+    "entropy_pair_n64_exact_shannon":
+        ["entropy", "--pi", "@pi64.json", "--sigma", "@sigma64.json",
+         "--p", "@p64_exact.json", "--shannon"],
     "entropy_pair_exact_csv":
         ["entropy", "--pi", "@parity6.json", "--sigma", "@thirds6.json",
          "--p", "@p6_exact.json", "--format", "csv"],
