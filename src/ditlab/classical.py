@@ -213,6 +213,17 @@ class ProbDist:
         object.__setattr__(self, "weights", w)
         return w
 
+    @cached_property
+    def _arrays(self):
+        """``_terms`` for :func:`product_measure`: numerators (int64 while ``d^2`` fits) or float64
+        weights, and the flags of Fraction or ``np.float64`` weights (one bool if they agree)."""
+        values, d, wide = self._terms
+        if d is None and not set(map(type, values)) <= {float, np.float64}:
+            return None
+        wide = wide or [type(x) is np.float64 for x in values]
+        values = np.array(values, np.float64 if d is None else np.int64 if d * d < 2 ** 63 else object)
+        return values, np.array(wide) if any(wide) and not all(wide) else wide[0]
+
     @property
     def size(self) -> int:
         return len(self._terms[0])
@@ -517,25 +528,27 @@ def logical_entropy(pi: Partition, p: ProbDist) -> Number:
 def product_measure(region: PairSet, p: ProbDist) -> Number:
     """Probability that an independent pair of draws lands in ``region``.
 
-    Exact weights add ``n[a] n[b]`` as ints over the numerators ``n`` of
-    ``p._terms``, in any order, and divide once by ``d^2``: a Fraction if a
-    pair touches a Fraction weight, else an int (0 for an empty region), as
-    the fold of ``w[a] w[b]`` gives.  Float weights run that fold over the
-    sorted pairs.
+    The value and type of the fold of ``w[a] w[b]`` over the sorted pairs, read
+    off the region's indicator in row-major order.  Exact weights add ``n[a] n[b]``
+    over the numerators of ``p._terms`` and divide once by ``d^2``; floats fold
+    with ``np.cumsum``, or in Python if ``p._arrays`` is ``None``.
     """
     if region.universe.size != p.size:
         raise UniverseMismatch(
             f"product measure: pair set on size {region.universe.size}, "
             f"distribution on {p.size}"
         )
-    values, d, fractions = p._terms
-    if d is None:
-        return _sum(values[a] * values[b] for a, b in region)
-    pairs = region.pairs
-    total = sum(values[a] * values[b] for a, b in pairs)
-    if any(fractions[a] or fractions[b] for a, b in pairs):
-        return Fraction(total, d * d)
-    return total // (d * d)
+    rows, cols = region._coords()
+    values, d, _ = p._terms
+    if not len(rows) or p._arrays is None:
+        return _sum(values[a] * values[b] for a, b in zip(rows.tolist(), cols.tolist()))
+    w, wide = p._arrays
+    touched = wide if type(wide) is bool else (wide[rows] | wide[cols]).any()
+    if d is not None:
+        total = int(w[rows] @ w[cols])
+        return Fraction(total, d * d) if touched else total // (d * d)
+    total = (w[rows] * w[cols]).cumsum()[-1] + 0.0  # the fold from the int 0 never ends on -0.0
+    return total if touched else float(total)
 
 
 def entropy_profile(

@@ -165,7 +165,7 @@ def rho_partition(pi: Partition, p: ProbDist) -> np.ndarray:
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """``Re tr[a b]``, summed as ``a[j, k] b[k, j]`` over all ``j, k``: n^2 work, where ``a @ b`` is n^3."""
+    """``Re tr[a b]`` as the sum of ``a[j, k] b[k, j]``: n^2 work, where ``a @ b`` is n^3."""
     return float((a * b.T).sum().real)
 
 

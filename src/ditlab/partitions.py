@@ -10,9 +10,8 @@ through these pair sets, with block-level implementations that are checked
 against the pair-set definitions in the test suite.  Every partition the
 library builds from labels comes from :func:`_grouped`; :func:`make_partition`
 keeps validated blocks as they are, sorted, with the labels of its one pass
-as ``_block_of``.  Every pair set the library derives, from blocks or from
-validated pair sets, comes from :func:`_pairset`, which checks no pair again
-(the public ``PairSet`` does).
+as ``_block_of``.  Every pair set the library derives comes from :func:`_pairset`,
+unchecked (the public ``PairSet`` checks each pair), as an n x n boolean indicator.
 
 Conventions used throughout:
 
@@ -32,6 +31,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Union
+
+import numpy as np
 
 from .errors import (
     BoundExceeded,
@@ -88,7 +89,9 @@ def _is_element(x, n: int) -> bool:
 
 @dataclass(frozen=True)
 class PairSet:
-    """A set of ordered pairs of universe elements, e.g. a ditset."""
+    """A set of ordered pairs of universe elements, e.g. a ditset.  The public constructor keeps
+    a checked frozenset ``pairs``; a set the library builds keeps its n x n boolean indicator
+    (entry ``[a, b]`` for pair ``(a, b)``) and forms ``pairs`` when they are first read."""
 
     universe: Universe
     pairs: frozenset
@@ -101,8 +104,24 @@ class PairSet:
                     and _is_element(pair[0], n) and _is_element(pair[1], n)):
                 raise IndexOutOfRange(f"pair {pair!r} outside universe of size {n}")
 
+    def __getattr__(self, name):
+        if name != "pairs" or "_indicator" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "pairs", frozenset(zip(*(a.tolist() for a in self._coords()))))
+        return self.pairs
+
+    def _coords(self):
+        """The pairs' first and second elements, two index arrays in sorted (row-major) pair order."""
+        ind = self.__dict__.get("_indicator")
+        return ind.nonzero() if ind is not None else np.array(sorted(self.pairs), np.intp).reshape(-1, 2).T
+
+    def _apply(self, other: "PairSet", what: str, op):
+        _check_same_universe(self.universe, other.universe, what)
+        both = "_indicator" in self.__dict__ and "_indicator" in other.__dict__
+        return op(self._indicator, other._indicator) if both else op(self.pairs, other.pairs)
+
     def __len__(self) -> int:
-        return len(self.pairs)
+        return int(np.count_nonzero(self._indicator)) if "_indicator" in self.__dict__ else len(self.pairs)
 
     def __contains__(self, pair) -> bool:
         return pair in self.pairs
@@ -111,31 +130,27 @@ class PairSet:
         return iter(sorted(self.pairs))
 
     def union(self, other: "PairSet") -> "PairSet":
-        _check_same_universe(self.universe, other.universe, "pair-set union")
-        return _pairset(self.universe, self.pairs | other.pairs)
+        return _pairset(self.universe, self._apply(other, "pair-set union", lambda a, b: a | b))
 
     def intersection(self, other: "PairSet") -> "PairSet":
-        _check_same_universe(self.universe, other.universe, "pair-set intersection")
-        return _pairset(self.universe, self.pairs & other.pairs)
+        return _pairset(self.universe, self._apply(other, "pair-set intersection", lambda a, b: a & b))
 
     def difference(self, other: "PairSet") -> "PairSet":
-        _check_same_universe(self.universe, other.universe, "pair-set difference")
-        return _pairset(self.universe, self.pairs - other.pairs)
+        # a ^ (a & b) is a minus b on frozensets and on boolean arrays alike.
+        return _pairset(self.universe, self._apply(other, "pair-set difference", lambda a, b: a ^ (a & b)))
 
     def complement(self) -> "PairSet":
         """All of ``U x U`` minus these pairs."""
-        full = frozenset(itertools.product(self.universe.elements(), repeat=2))
-        return _pairset(self.universe, full - self.pairs)
+        return _pairset(self.universe, np.ones((self.universe.size,) * 2, bool)).difference(self)
 
     def issubset(self, other: "PairSet") -> bool:
-        _check_same_universe(self.universe, other.universe, "pair-set comparison")
-        return self.pairs <= other.pairs
+        return bool(np.all(self._apply(other, "pair-set comparison", lambda a, b: a <= b)))
 
 
-def _pairset(u: Universe, pairs: Iterable) -> PairSet:
-    """The pair set of ``pairs``, already known to lie in ``u``, built without the per-pair check."""
+def _pairset(u: Universe, pairs) -> PairSet:
+    """The set of ``pairs`` in ``u``, an n x n boolean indicator or a frozenset, built without the check."""
     s = object.__new__(PairSet)
-    s.__dict__.update(universe=u, pairs=frozenset(pairs))
+    s.__dict__.update({"universe": u, "pairs" if isinstance(pairs, frozenset) else "_indicator": pairs})
     return s
 
 
@@ -294,8 +309,8 @@ def is_dit(p: Partition, a: int, b: int) -> bool:
 def ditset(p: Partition) -> PairSet:
     """The set of ordered pairs distinguished by ``p``.
 
-    Materialized explicitly, block by block, as the union of ``B x (U - B)``
-    over the blocks ``B``; for universes above ``DITSET_MATERIALIZE_BOUND``
+    Materialized as its n x n indicator ``ids[a] != ids[b]`` over the block
+    ids ``p._block_of``; for universes above ``DITSET_MATERIALIZE_BOUND``
     use :func:`is_dit` for membership instead (raises :class:`BoundExceeded`).
     """
     n = p.universe.size
@@ -304,23 +319,15 @@ def ditset(p: Partition) -> PairSet:
             f"ditset materialization for n={n} exceeds bound {DITSET_MATERIALIZE_BOUND}; "
             "use is_dit for membership queries"
         )
-    # One product per block B, with every element outside B: fewer iterators than one per block pair.
-    flat = tuple(itertools.chain.from_iterable(p.blocks))
-    rows, start = [], 0
-    for block in p.blocks:
-        end = start + len(block)
-        rows.append(itertools.product(block, flat[:start] + flat[end:]))
-        start = end
-    return _pairset(p.universe, itertools.chain.from_iterable(rows))
+    return _pairset(p.universe, np.not_equal.outer(p._block_of, p._block_of))
 
 
 def inditset(p: Partition) -> PairSet:
-    """The complement of the ditset: pairs lying in a common block, ``B x B`` per block."""
+    """The complement of the ditset: pairs lying in a common block, ``ids[a] == ids[b]``."""
     n = p.universe.size
     if n > DITSET_MATERIALIZE_BOUND:
         raise BoundExceeded(f"inditset materialization for n={n} exceeds bound {DITSET_MATERIALIZE_BOUND}")
-    squares = (itertools.product(b, repeat=2) for b in p.blocks)
-    return _pairset(p.universe, itertools.chain.from_iterable(squares))
+    return _pairset(p.universe, np.equal.outer(p._block_of, p._block_of))
 
 
 def refines(sigma: Partition, pi: Partition) -> bool:

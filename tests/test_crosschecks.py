@@ -318,7 +318,7 @@ def _weights(draw, n, kind):
         s = sum(counts)
         return tuple(0 if k == "int 0" else Fraction(c, s) if k.startswith("Fraction") else c
                      for k, c in zip(kinds, counts))
-    zero = st.just(0) if kind == "int among floats" else st.just(0.0)
+    zero = st.just(0) if kind == "int among floats" else st.sampled_from([0.0, -0.0])
     raw = draw(st.lists(st.one_of(zero, st.floats(0, 1), st.floats(0, 1e-160)),
                         min_size=n, max_size=n).filter(lambda w: sum(w) > 0.1))
     total = sum(raw)
@@ -392,6 +392,7 @@ def ditset_region_cases(draw):
 
 
 @given(ditset_region_cases())
+@example((ditset(top(2)), ProbDist((-0.0, 1.0))))  # every product is -0.0, the fold's total 0.0
 @settings(max_examples=200, deadline=None)
 def test_product_measure_equals_the_fold_on_regions_of_ditset_algebra(case):
     region, p = case

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 import helpers
 from ditlab import partitions
+from ditlab.classical import ProbDist, product_measure
 from ditlab.errors import (
     BoundExceeded,
     EmptyBlock,
@@ -238,6 +242,60 @@ def test_pairset_refuses_members_that_are_not_pairs_of_elements(member):
 def test_pairset_accepts_numpy_integers():
     pairs = PairSet(Universe(3), {(np.int64(0), np.uint8(2)), (2, np.int32(1))})
     assert pairs == PairSet(Universe(3), {(0, 2), (2, 1)})
+
+
+def _built_and_wanted(pair) -> list:
+    """Each kind of pair set the library builds from two partitions, with the frozenset it holds."""
+    d, e = (ditset(p) for p in pair)
+    want_d, want_e = (helpers.ditset_loop(p) for p in pair)
+    square = frozenset(itertools.product(range(d.universe.size), repeat=2))
+    return [(d, want_d), (inditset(pair[0]), square - want_d), (d.complement(), square - want_d),
+            (d.union(e), want_d | want_e), (d.intersection(e), want_d & want_e),
+            (d.difference(e), want_d - want_e), (common_dits(*pair), want_d & want_e)]
+
+
+@given(_partition_pairs)
+@settings(max_examples=100)
+def test_a_pair_set_the_library_builds_behaves_as_one_from_the_constructor(pair):
+    n = pair[0].universe.size
+    members = list(itertools.product(range(n), repeat=2))
+    for built, want in _built_and_wanted(pair):
+        twin = PairSet(built.universe, sorted(want))
+        # The copies are taken before anything reads the built set's pairs.
+        for s in (pickle.loads(pickle.dumps(built)), copy.copy(built), built):
+            assert s == twin and twin == s and hash(s) == hash(twin)
+            assert repr(s) == repr(twin)
+            assert type(s.pairs) is frozenset and s.pairs == want
+            assert all(type(a) is int and type(b) is int for a, b in s.pairs)
+            assert len(s) == len(want) and list(s) == sorted(want)
+            assert [m in s for m in members] == [m in want for m in members]
+        assert built.issubset(twin) and twin.issubset(built)
+
+
+def test_the_length_of_a_ditset_is_read_without_forming_its_pairs():
+    d = ditset(make_partition(4, [[0, 1], [2, 3]]))
+    assert len(d) == 8 and "pairs" not in vars(d)
+
+
+def test_a_pair_set_from_the_constructor_on_a_large_universe_forms_no_square_array():
+    n = 10 ** 6
+    weights = [0.0] * n
+    weights[0], weights[1], weights[-1] = 0.5, 0.25, 0.25
+    tracemalloc.start()
+    try:
+        p = ProbDist(tuple(weights))
+        s = PairSet(Universe(n), {(0, 1), (n - 1, 0), (3, 3)})
+        t = PairSet(Universe(n), [(0, 1), (1, 0)])
+        measure = product_measure(s, p)
+        assert type(s.pairs) is frozenset
+        assert s.union(t) == PairSet(Universe(n), {(0, 1), (1, 0), (n - 1, 0), (3, 3)})
+        assert s.difference(t) == PairSet(Universe(n), {(n - 1, 0), (3, 3)})
+        assert len(s) == 3 and (n - 1, 0) in s and (0, 0) not in s
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert measure == 0.25 and type(measure) is float
+    assert peak < 64 * 2 ** 20
 
 
 def test_make_partition_accepts_numpy_integer_elements():
