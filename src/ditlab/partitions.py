@@ -115,10 +115,10 @@ class PairSet:
         ind = self.__dict__.get("_indicator")
         return ind.nonzero() if ind is not None else np.array(sorted(self.pairs), np.intp).reshape(-1, 2).T
 
-    def _apply(self, other: "PairSet", what: str, op):
+    def _apply(self, other: "PairSet", what: str, op, on_arrays=None):
         _check_same_universe(self.universe, other.universe, what)
         both = "_indicator" in self.__dict__ and "_indicator" in other.__dict__
-        return op(self._indicator, other._indicator) if both else op(self.pairs, other.pairs)
+        return (on_arrays or op)(self._indicator, other._indicator) if both else op(self.pairs, other.pairs)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._indicator)) if "_indicator" in self.__dict__ else len(self.pairs)
@@ -136,8 +136,8 @@ class PairSet:
         return _pairset(self.universe, self._apply(other, "pair-set intersection", lambda a, b: a & b))
 
     def difference(self, other: "PairSet") -> "PairSet":
-        # a ^ (a & b) is a minus b on frozensets and on boolean arrays alike.
-        return _pairset(self.universe, self._apply(other, "pair-set difference", lambda a, b: a ^ (a & b)))
+        # On boolean arrays, a > b is a and not b.
+        return _pairset(self.universe, self._apply(other, "pair-set difference", frozenset.__sub__, np.greater))
 
     def complement(self) -> "PairSet":
         """All of ``U x U`` minus these pairs."""
