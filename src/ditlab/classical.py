@@ -215,10 +215,10 @@ class ProbDist:
 
     @cached_property
     def _arrays(self):
-        """``_terms`` for :func:`product_measure`: numerators (int64 while ``d^2`` fits) or float64
-        weights, and the flags of Fraction or ``np.float64`` weights (one bool if they agree)."""
+        """``_terms`` for :func:`product_measure`: numerators (int64 while ``d^2`` fits) or float
+        weights none past 1 (so no product overflows), and the Fraction or np.float64 flags; or None."""
         values, d, wide = self._terms
-        if d is None and not set(map(type, values)) <= {float, np.float64}:
+        if d is None and not (set(map(type, values)) <= {float, np.float64} and max(values) <= 1):
             return None
         wide = wide or [type(x) is np.float64 for x in values]
         values = np.array(values, np.float64 if d is None else np.int64 if d * d < 2 ** 63 else object)

@@ -399,6 +399,19 @@ def test_product_measure_equals_the_fold_on_regions_of_ditset_algebra(case):
     assert _same(classical.product_measure(region, p), helpers.product_measure_loop(region, p))
 
 
+@pytest.mark.parametrize("weights", [(math.nan, math.inf, 0.0), (math.nan, 1e300, 1e300),
+                                     (1e300, math.nan, 1e300), (0.5, math.nan, 0.5)])
+def test_product_measure_folds_non_finite_weights_as_the_loop_does_and_warns_of_nothing(weights):
+    """A NaN weight still passes validation; whatever passes folds as the loop does, with no numpy warning."""
+    try:
+        p = ProbDist(weights)
+    except errors.InvalidDistribution:
+        return
+    region = ditset(top(3))
+    got, want = classical.product_measure(region, p), helpers.product_measure_loop(region, p)
+    assert type(got) is type(want) and repr(got) == repr(want)
+
+
 # ------------------------------------------------ one-pass block sums vs the per-block loop
 
 def _groups(ids, size):
