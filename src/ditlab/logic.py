@@ -50,7 +50,7 @@ from .partitions import (
     UniverseLike,
     _as_universe,
     _bell_numbers,
-    _grouped,
+    _coded,
     _implication_code,
     _meet_code,
     bottom,
@@ -323,9 +323,9 @@ def check_tautology(
             if value:
                 # The tree evaluator on partitions must give the same value.
                 u = Universe(n)
-                env = {name: _grouped(u, table[m]) for name, m in zip(names, masks)}
+                env = {name: _coded(u, table[m]) for name, m in zip(names, masks)}
                 _agree(f"counterexample at n={n} and its re-evaluation",
-                       (_grouped(u, table[value]),), (evaluate(f, env, u),), True, 0)
+                       (_coded(u, table[value]),), (evaluate(f, env, u),), True, 0)
                 return TautologyVerdict(VerdictStatus.COUNTEREXAMPLE, max_n, (n, env))
     return TautologyVerdict(VerdictStatus.TAUTOLOGY_UP_TO_BOUND, max_n)
 

@@ -1,17 +1,17 @@
 """Set partitions of a finite universe and their distinction structure.
 
-A partition of the universe ``{0, ..., n-1}`` is stored in canonical form:
-every block sorted ascending and the blocks ordered by least element, so
-structural equality is partition equality.  The *ditset* of a partition is
-the set of ordered pairs of elements lying in different blocks (its
-"distinctions"); the *inditset* is the complement, the pairs lying in the
-same block.  Partial order, join, meet and implication are all defined
-through these pair sets, with block-level implementations that are checked
-against the pair-set definitions in the test suite.  Every partition the
-library builds from labels comes from :func:`_grouped`; :func:`make_partition`
-keeps validated blocks as they are, sorted, with the labels of its one pass
-as ``_block_of``.  Every pair set the library derives comes from :func:`_pairset`,
-unchecked (the public ``PairSet`` checks each pair), as an n x n boolean indicator.
+A partition of the universe ``{0, ..., n-1}`` is stored as its canonical
+code: each element's block id, the blocks numbered by least element (a
+restricted growth string), so equal codes are equal partitions; its
+``blocks`` are formed from the code when first read.  The *ditset* of a
+partition is the set of ordered pairs of elements lying in different blocks
+(its "distinctions"); the *inditset* is the complement, the pairs lying in
+the same block.  Partial order, join, meet and implication are all defined
+through these pair sets, with kernels on codes that are checked against the
+pair-set definitions in the test suite.  Every partition the library builds
+comes from :func:`_coded`, given a code from a kernel or :func:`_renumber`.
+Every pair set the library derives comes from :func:`_pairset`, unchecked
+(the public ``PairSet`` checks each pair), as an n x n boolean indicator.
 
 Conventions used throughout:
 
@@ -28,8 +28,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from collections import defaultdict
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -124,7 +123,13 @@ class PairSet:
         return int(np.count_nonzero(self._indicator)) if "_indicator" in self.__dict__ else len(self.pairs)
 
     def __contains__(self, pair) -> bool:
-        return pair in self.pairs
+        ind, n = self.__dict__.get("_indicator"), self.universe.size
+        if ind is not None and type(pair) is tuple and len(pair) == 2:
+            if _is_element(pair[0], n) and _is_element(pair[1], n):
+                return bool(ind[pair])
+            if type(pair[0]) is int and type(pair[1]) is int:  # an int outside the universe
+                return False
+        return pair in self.pairs  # other members, (True, 0) say, answer as the frozenset does
 
     def __iter__(self):
         return iter(sorted(self.pairs))
@@ -156,28 +161,35 @@ def _pairset(u: Universe, pairs) -> PairSet:
 
 @dataclass(frozen=True)
 class Partition:
-    """A set partition in canonical form.
+    """A set partition, stored as its canonical code ``_block_of``, which ``==`` and ``hash`` read.
 
-    Construct through :func:`make_partition` (which validates raw block
-    lists) or the algebra operations below; the constructor canonicalizes
-    but assumes the blocks already partition the universe.
+    The canonical ``blocks`` are derived from the code on first read, or kept
+    by :func:`make_partition`, which validates raw block lists.  Construct
+    through it or the algebra operations below; the constructor keeps only
+    the code of its blocks, and assumes that they partition the universe.
     """
 
     universe: Universe
-    blocks: tuple
+    blocks: tuple = field(compare=False)
+    _block_of: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        canon = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", canon)
-
-    @cached_property
-    def _block_of(self) -> tuple:
-        """Element -> index of its block, for O(1) membership queries."""
-        out = [-1] * self.universe.size
+        ids = [-1] * self.universe.size
         for i, block in enumerate(self.blocks):
             for x in block:
-                out[x] = i
-        return tuple(out)
+                ids[x] = i
+        object.__setattr__(self, "_block_of", _renumber(ids))
+        del self.__dict__["blocks"]
+
+    def __getattr__(self, name):
+        """The canonical ``blocks``, formed from the code once, when first read."""
+        if name != "blocks" or "_block_of" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        blocks = [[] for _ in range(self.n_blocks)]
+        for x, i in enumerate(self._block_of):
+            blocks[i].append(x)
+        object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))
+        return self.blocks
 
     def block_containing(self, x: int) -> int:
         """Index (into ``blocks``) of the block holding element ``x``."""
@@ -190,7 +202,7 @@ class Partition:
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return max(self._block_of) + 1
 
     def is_top(self) -> bool:
         return self.n_blocks == self.universe.size
@@ -236,30 +248,34 @@ def make_partition(universe: UniverseLike, blocks: Iterable[Iterable[int]]) -> P
         raise UncoveredElement(f"elements covered by no block: {n - len(owner)}, the least is {least}")
     canon = [tuple(sorted(map(int, b) if converted else b)) for b in blocks]
     ordered = sorted(canon)  # by least element, since the blocks are disjoint
-    if ordered != canon:  # renumber the input's blocks in canonical order
-        rank = {b[0]: r for r, b in enumerate(ordered)}
-        owner = map([rank[b[0]] for b in canon].__getitem__, owner)
+    p = _coded(u, tuple(owner) if ordered == canon else _renumber(owner))  # else renumbered by least element
+    object.__setattr__(p, "blocks", tuple(ordered))
+    return p
+
+
+def _renumber(labels: Iterable) -> tuple:
+    """Each label's id by first appearance: the code of the partition that groups equal labels."""
+    ids: dict = {}
+    return tuple([ids.setdefault(label, len(ids)) for label in labels])
+
+
+def _coded(u: Universe, code: tuple) -> Partition:
+    """The partition of ``u`` with canonical code ``code``, built without the constructor."""
     p = object.__new__(Partition)
-    p.__dict__.update(universe=u, blocks=tuple(ordered), _block_of=tuple(owner))
+    p.__dict__.update(universe=u, _block_of=code)
     return p
 
 
 def _grouped(u: Universe, labels: Iterable) -> Partition:
-    """The partition of ``u`` that groups equal labels; its blocks come out canonical."""
-    blocks: dict = {}
-    for x, label in enumerate(labels):
-        blocks.setdefault(label, []).append(x)
-    p = object.__new__(Partition)
-    p.__dict__.update(universe=u, blocks=tuple(map(tuple, blocks.values())))
-    return p
+    """The partition of ``u`` that groups equal labels."""
+    return _coded(u, _renumber(labels))
 
 
 # Lattice kernels on codes: ``_block_of`` of canonical partitions, a block id per element.
 
 def _join_code(a: tuple, b: tuple) -> tuple:
     """Blocks are the nonempty intersections: one id per pair of block ids."""
-    ids: dict = {}
-    return tuple([ids.setdefault(pair, len(ids)) for pair in zip(a, b)])
+    return _renumber(zip(a, b))
 
 
 def _meet_code(a: tuple, b: tuple) -> tuple:
@@ -275,8 +291,7 @@ def _meet_code(a: tuple, b: tuple) -> tuple:
         parent[max(r, s)] = min(r, s)
     for i, up in enumerate(parent):  # up <= i, so parent[up] is already a root
         parent[i] = parent[up]
-    ids: dict = {}
-    return tuple([ids.setdefault(parent[x], len(ids)) for x in a])
+    return _renumber(map(parent.__getitem__, a))
 
 
 def _implication_code(s: tuple, p: tuple) -> tuple:
@@ -285,20 +300,19 @@ def _implication_code(s: tuple, p: tuple) -> tuple:
     stays = {y for x, y in zip(s, p) if first.setdefault(y, x) != x}
     if not stays:
         return tuple(range(len(p)))
-    ids: dict = {}
-    return tuple([ids.setdefault(y if y in stays else -1 - i, len(ids)) for i, y in enumerate(p)])
+    return _renumber(y if y in stays else -1 - i for i, y in enumerate(p))
 
 
 def top(universe: UniverseLike) -> Partition:
     """The discrete partition: every element its own block (all distinctions)."""
     u = _as_universe(universe)
-    return _grouped(u, u.elements())
+    return _coded(u, tuple(u.elements()))
 
 
 def bottom(universe: UniverseLike) -> Partition:
     """The indiscrete partition: one block (no distinctions)."""
     u = _as_universe(universe)
-    return _grouped(u, [0] * u.size)
+    return _coded(u, (0,) * u.size)
 
 
 def is_dit(p: Partition, a: int, b: int) -> bool:
@@ -348,13 +362,13 @@ def join(pi: Partition, sigma: Partition) -> Partition:
     Satisfies ``ditset(join) = ditset(pi) | ditset(sigma)``.
     """
     _check_same_universe(pi.universe, sigma.universe, "join")
-    return _grouped(pi.universe, _join_code(pi._block_of, sigma._block_of))
+    return _coded(pi.universe, _join_code(pi._block_of, sigma._block_of))
 
 
 def meet(pi: Partition, sigma: Partition) -> Partition:
     """Greatest lower bound: the connected components of "same block in either"."""
     _check_same_universe(pi.universe, sigma.universe, "meet")
-    return _grouped(pi.universe, _meet_code(pi._block_of, sigma._block_of))
+    return _coded(pi.universe, _meet_code(pi._block_of, sigma._block_of))
 
 
 def implication(sigma: Partition, pi: Partition) -> Partition:
@@ -365,7 +379,7 @@ def implication(sigma: Partition, pi: Partition) -> Partition:
     result equals ``top`` exactly when ``refines(sigma, pi)``.
     """
     _check_same_universe(sigma.universe, pi.universe, "implication")
-    return _grouped(pi.universe, _implication_code(sigma._block_of, pi._block_of))
+    return _coded(pi.universe, _implication_code(sigma._block_of, pi._block_of))
 
 
 def common_dits(pi: Partition, sigma: Partition) -> PairSet:
@@ -409,7 +423,7 @@ def enumerate_partitions(universe: UniverseLike, bound: int = ENUMERATION_BOUND)
             f"enumerating partitions of an n={n} universe exceeds bound {bound}"
         )
     for code in _growth_strings(n):
-        yield _grouped(u, code)
+        yield _coded(u, code)
 
 
 def _growth_strings(n: int) -> list:

@@ -247,6 +247,13 @@ def test_join_of_variables_has_counterexample():
     assert evaluate(parse("p | q"), env, n) != top(n)
 
 
+def test_the_witness_partitions_hold_their_code_and_print_their_blocks():
+    n, env = check_tautology(parse("(p -> q) | (q -> p)"), 4).witness
+    assert not any("blocks" in vars(p) for p in env.values())
+    assert {name: p.blocks for name, p in env.items()} == {
+        name: make_partition(n, p.blocks).blocks for name, p in env.items()}
+
+
 @pytest.mark.parametrize("text", ["p", "0", "p -> q", "p & q", "1 -> 0"])
 def test_non_tautologies(text):
     verdict = check_tautology(parse(text), 3)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import helpers
 from ditlab import partitions
-from ditlab.classical import ProbDist, product_measure
+from ditlab.classical import ProbDist, product_measure, shannon_profile
 from ditlab.errors import (
     BoundExceeded,
     EmptyBlock,
@@ -272,6 +272,20 @@ def test_a_pair_set_the_library_builds_behaves_as_one_from_the_constructor(pair)
         assert built.issubset(twin) and twin.issubset(built)
 
 
+@given(_partition_pairs)
+@settings(max_examples=100)
+def test_membership_in_a_built_pair_set_reads_its_indicator(pair):
+    """Pairs of ints, in or out of the universe, are answered without forming ``pairs``."""
+    n = pair[0].universe.size
+    members = list(itertools.product(range(-1, n + 1), repeat=2)) + [(0, 10 ** 30), (np.int64(0), np.uint8(n - 1))]
+    others = [(True, 0), (0.0, n - 1), (np.int64(n), 0), (0, 1, 2), (0,), "ab"]
+    for built, want in _built_and_wanted(pair):
+        twin = PairSet(built.universe, want)
+        assert [m in built for m in members] == [m in twin for m in members]
+        assert "pairs" not in vars(built)
+        assert [m in built for m in others] == [m in twin for m in others]
+
+
 def test_the_length_of_a_ditset_is_read_without_forming_its_pairs():
     d = ditset(make_partition(4, [[0, 1], [2, 3]]))
     assert len(d) == 8 and "pairs" not in vars(d)
@@ -321,6 +335,64 @@ def test_make_partition_keeps_the_input_ints_and_returns_its_block_map():
     assert all(x is own[x] for b in p.blocks for x in b if x > 256)
     assert p.blocks == (tuple(range(0, 500, 2)), tuple(range(1, 500, 2)), tuple(range(500, n)))
     assert p._block_of == helpers.make_partition_loop(n, blocks)._block_of
+
+
+def _codes_only(n):
+    """One partition of each kind the library builds on a universe of size ``n``, none of them read."""
+    a, b = make_partition(n, [range(0, n, 2), range(1, n, 2)]), make_partition(n, [range(n // 2), range(n // 2, n)])
+    return [join(a, b), meet(a, b), implication(a, b), implication(b, a), top(n), bottom(n),
+            partitions._grouped(Universe(n), [x % 3 for x in range(n)]), Partition(Universe(n), b.blocks[::-1]),
+            *enumerate_partitions(min(n, 4))]
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_partitions_the_library_builds_keep_their_code_and_form_no_blocks(n):
+    for p in _codes_only(n):
+        u = p.universe
+        p.n_blocks, p.is_top(), p.is_bottom(), p.block_containing(0), is_dit(p, 0, u.size - 1)
+        refines(p, top(u)), refines(bottom(u), p), ditset(p), inditset(p)
+        assert "blocks" not in vars(p) and "_block_of" in vars(p)
+        blocks = p.blocks
+        assert vars(p)["blocks"] is blocks and p.n_blocks == len(blocks)
+        assert blocks == make_partition(u, blocks).blocks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_partition_the_library_builds_behaves_as_one_from_the_constructor(n):
+    parts = _parts(n)
+    u = Universe(n)
+    for a, b in itertools.product(parts, parts):
+        for built in (join(a, b), meet(a, b), implication(a, b)):
+            groups: dict = {}
+            for x, i in enumerate(built._block_of):
+                groups.setdefault(i, []).append(x)
+            # One twin from the constructor, one with make_partition's eager blocks.
+            twins = (Partition(u, tuple(map(tuple, groups.values()))[::-1]), make_partition(u, groups.values()))
+            # The copies are taken before anything reads the built partition's blocks.
+            for s in (pickle.loads(pickle.dumps(built)), copy.copy(built), built):
+                assert "blocks" not in vars(s)
+                for twin in twins:
+                    assert s == twin and twin == s and hash(s) == hash(twin)
+                assert repr(s) == repr(twins[0]) == repr(twins[1])
+                assert s.blocks == twins[1].blocks and all(type(x) is int for b in s.blocks for x in b)
+                assert pickle.loads(pickle.dumps(s)) == s and copy.copy(s).blocks == s.blocks
+
+
+def test_a_shannon_profile_forms_no_blocks_of_its_join(monkeypatch):
+    n = 10 ** 4
+    rng = np.random.default_rng(7)
+    pi, sigma = (partitions._grouped(Universe(n), rng.integers(0, 20, n).tolist()) for _ in range(2))
+    built = []
+    real = partitions._coded
+
+    def recorded(u, code):
+        built.append(real(u, code))
+        return built[-1]
+
+    monkeypatch.setattr(partitions, "_coded", recorded)
+    shannon_profile(pi, sigma, ProbDist((1 / n,) * n))
+    assert built and built[0] == join(pi, sigma)
+    assert not any("blocks" in vars(p) for p in (pi, sigma, *built))
 
 
 # ------------------------------------------------------------- refinement
