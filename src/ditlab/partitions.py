@@ -29,6 +29,7 @@ import itertools
 import numbers
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -123,13 +124,7 @@ class PairSet:
         return int(np.count_nonzero(self._indicator)) if "_indicator" in self.__dict__ else len(self.pairs)
 
     def __contains__(self, pair) -> bool:
-        ind, n = self.__dict__.get("_indicator"), self.universe.size
-        if ind is not None and type(pair) is tuple and len(pair) == 2:
-            if _is_element(pair[0], n) and _is_element(pair[1], n):
-                return bool(ind[pair])
-            if type(pair[0]) is int and type(pair[1]) is int:  # an int outside the universe
-                return False
-        return pair in self.pairs  # other members, (True, 0) say, answer as the frozenset does
+        return pair in self.pairs
 
     def __iter__(self):
         return iter(sorted(self.pairs))
@@ -171,7 +166,7 @@ class Partition:
 
     universe: Universe
     blocks: tuple = field(compare=False)
-    _block_of: tuple = field(init=False, repr=False)
+    _block_of: tuple = field(init=False)
 
     def __post_init__(self):
         ids = [-1] * self.universe.size
@@ -200,7 +195,7 @@ class Partition:
     def same_block(self, a: int, b: int) -> bool:
         return self.block_containing(a) == self.block_containing(b)
 
-    @property
+    @cached_property
     def n_blocks(self) -> int:
         return max(self._block_of) + 1
 

@@ -272,20 +272,6 @@ def test_a_pair_set_the_library_builds_behaves_as_one_from_the_constructor(pair)
         assert built.issubset(twin) and twin.issubset(built)
 
 
-@given(_partition_pairs)
-@settings(max_examples=100)
-def test_membership_in_a_built_pair_set_reads_its_indicator(pair):
-    """Pairs of ints, in or out of the universe, are answered without forming ``pairs``."""
-    n = pair[0].universe.size
-    members = list(itertools.product(range(-1, n + 1), repeat=2)) + [(0, 10 ** 30), (np.int64(0), np.uint8(n - 1))]
-    others = [(True, 0), (0.0, n - 1), (np.int64(n), 0), (0, 1, 2), (0,), "ab"]
-    for built, want in _built_and_wanted(pair):
-        twin = PairSet(built.universe, want)
-        assert [m in built for m in members] == [m in twin for m in members]
-        assert "pairs" not in vars(built)
-        assert [m in built for m in others] == [m in twin for m in others]
-
-
 def test_the_length_of_a_ditset_is_read_without_forming_its_pairs():
     d = ditset(make_partition(4, [[0, 1], [2, 3]]))
     assert len(d) == 8 and "pairs" not in vars(d)
