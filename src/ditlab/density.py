@@ -42,7 +42,7 @@ from .errors import (
     TraceNotOne,
     ZeroProbabilityEvent,
 )
-from .partitions import Partition, _is_element, join
+from .partitions import Partition, _is_element, _same_block, join
 
 #: Tolerance for Hermiticity, trace, positivity and projector checks.
 DENSITY_TOL = 1e-10
@@ -160,8 +160,7 @@ def rho_partition(pi: Partition, p: ProbDist) -> np.ndarray:
             f"partition on size {pi.universe.size}, distribution on {p.size}"
         )
     root = np.sqrt([float(w) for w in p.weights])
-    ids = np.array(pi._block_of)
-    return np.where(ids[:, None] == ids, np.outer(root, root), 0.0)
+    return np.where(_same_block(pi), np.outer(root, root), 0.0)
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float:

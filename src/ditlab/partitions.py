@@ -97,12 +97,14 @@ class PairSet:
     pairs: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
+        pairs = frozenset(self.pairs)
         n = self.universe.size
-        for pair in self.pairs:
+        for pair in pairs:
             if not (isinstance(pair, tuple) and len(pair) == 2
                     and _is_element(pair[0], n) and _is_element(pair[1], n)):
                 raise IndexOutOfRange(f"pair {pair!r} outside universe of size {n}")
+        # Inserted in sorted order, as a built set forms its pairs, so equal sets print alike.
+        object.__setattr__(self, "pairs", frozenset(sorted(pairs)))
 
     def __getattr__(self, name):
         if name != "pairs" or "_indicator" not in self.__dict__:
@@ -158,10 +160,10 @@ def _pairset(u: Universe, pairs) -> PairSet:
 class Partition:
     """A set partition, stored as its canonical code ``_block_of``, which ``==`` and ``hash`` read.
 
-    The canonical ``blocks`` are derived from the code on first read, or kept
-    by :func:`make_partition`, which validates raw block lists.  Construct
-    through it or the algebra operations below; the constructor keeps only
-    the code of its blocks, and assumes that they partition the universe.
+    The canonical ``blocks`` are derived from the code on first read.  Construct
+    through :func:`make_partition`, which validates raw block lists, or the
+    algebra operations below; the constructor keeps only the code of its
+    blocks, and assumes that they partition the universe.
     """
 
     universe: Universe
@@ -211,47 +213,39 @@ class Partition:
 
 
 def make_partition(universe: UniverseLike, blocks: Iterable[Iterable[int]]) -> Partition:
-    """Validate raw blocks in one pass, then put them in canonical form.
+    """Validate raw blocks in one pass, then keep their canonical code.
 
     Raises :class:`EmptyBlock`, :class:`IndexOutOfRange`, :class:`OverlappingBlocks`
     or :class:`UncoveredElement`, for the first bad element in input order, when the
     blocks fail to partition ``{0, ..., n-1}``.  The pass labels each element with
-    the index of its block, so ``_block_of`` is those labels, renumbered if the
-    input's blocks are not in canonical order.  The blocks keep the input's own
-    ints, each block sorted and the blocks ordered by least element, as
-    ``Partition`` orders them (a numpy integer becomes an int).
+    the index of its block; those labels, renumbered by least element, are the code,
+    from which canonical ``blocks`` of Python ints are formed when first read.
     """
     u = _as_universe(universe)
     n = u.size
     blocks = list(map(tuple, blocks))
     # Block index per element; blocks too few to cover n (an error) use a dict, not n slots.
     owner = [None] * n if sum(map(len, blocks)) >= n else defaultdict(lambda: None)
-    converted = False
     for i, block in enumerate(blocks):
         if not block:
             raise EmptyBlock("empty block is not allowed")
         for x in block:
-            if not (type(x) is int and 0 <= x < n):  # an in-range int skips the call
-                if not _is_element(x, n):
-                    raise IndexOutOfRange(f"element {x!r} outside universe of size {n}")
-                converted = True
+            if not (type(x) is int and 0 <= x < n or _is_element(x, n)):  # an in-range int skips the call
+                raise IndexOutOfRange(f"element {x!r} outside universe of size {n}")
             if owner[x] is not None:
                 raise OverlappingBlocks(f"element {x} appears in more than one block")
             owner[x] = i
     if len(owner) < n:  # a dict, then: every element seen is in range and seen once
         least = next(x for x in range(n) if x not in owner)
         raise UncoveredElement(f"elements covered by no block: {n - len(owner)}, the least is {least}")
-    canon = [tuple(sorted(map(int, b) if converted else b)) for b in blocks]
-    ordered = sorted(canon)  # by least element, since the blocks are disjoint
-    p = _coded(u, tuple(owner) if ordered == canon else _renumber(owner))  # else renumbered by least element
-    object.__setattr__(p, "blocks", tuple(ordered))
-    return p
+    return _grouped(u, owner)
 
 
 def _renumber(labels: Iterable) -> tuple:
     """Each label's id by first appearance: the code of the partition that groups equal labels."""
-    ids: dict = {}
-    return tuple([ids.setdefault(label, len(ids)) for label in labels])
+    ids: defaultdict = defaultdict()
+    ids.default_factory = ids.__len__  # called before a new label is stored, so it gives the next id
+    return tuple(map(ids.__getitem__, labels))
 
 
 def _coded(u: Universe, code: tuple) -> Partition:
@@ -315,12 +309,18 @@ def is_dit(p: Partition, a: int, b: int) -> bool:
     return not p.same_block(a, b)
 
 
+def _same_block(p: Partition) -> np.ndarray:
+    """The n x n boolean same-block indicator ``ids[a] == ids[b]`` over the block ids ``p._block_of``."""
+    ids = np.array(p._block_of)
+    return ids[:, None] == ids
+
+
 def ditset(p: Partition) -> PairSet:
     """The set of ordered pairs distinguished by ``p``.
 
-    Materialized as its n x n indicator ``ids[a] != ids[b]`` over the block
-    ids ``p._block_of``; for universes above ``DITSET_MATERIALIZE_BOUND``
-    use :func:`is_dit` for membership instead (raises :class:`BoundExceeded`).
+    Materialized as its n x n indicator, the negated :func:`_same_block`;
+    for universes above ``DITSET_MATERIALIZE_BOUND`` use :func:`is_dit`
+    for membership instead (raises :class:`BoundExceeded`).
     """
     n = p.universe.size
     if n > DITSET_MATERIALIZE_BOUND:
@@ -328,15 +328,15 @@ def ditset(p: Partition) -> PairSet:
             f"ditset materialization for n={n} exceeds bound {DITSET_MATERIALIZE_BOUND}; "
             "use is_dit for membership queries"
         )
-    return _pairset(p.universe, np.not_equal.outer(p._block_of, p._block_of))
+    return _pairset(p.universe, ~_same_block(p))
 
 
 def inditset(p: Partition) -> PairSet:
-    """The complement of the ditset: pairs lying in a common block, ``ids[a] == ids[b]``."""
+    """The complement of the ditset: pairs lying in a common block, the :func:`_same_block` indicator."""
     n = p.universe.size
     if n > DITSET_MATERIALIZE_BOUND:
         raise BoundExceeded(f"inditset materialization for n={n} exceeds bound {DITSET_MATERIALIZE_BOUND}")
-    return _pairset(p.universe, np.equal.outer(p._block_of, p._block_of))
+    return _pairset(p.universe, _same_block(p))
 
 
 def refines(sigma: Partition, pi: Partition) -> bool:

@@ -44,7 +44,7 @@ import numpy as np
 from . import classical, density
 from .classical import JointDist, ProbDist
 from .errors import BoundExceeded, DimensionMismatch, InvalidObservable, NotCommuting, _agree
-from .partitions import PairSet, Partition, Universe, _grouped, ditset
+from .partitions import PairSet, Partition, Universe, _grouped, _same_block, ditset
 
 #: Tolerance used when grouping float eigenvalues into classes.
 EIGENVALUE_GROUP_TOL = 1e-9
@@ -166,18 +166,18 @@ def qudit_pairs(F: Observable) -> PairSet:
     return ditset(F.eigenvalue_partition())
 
 
-def _state(psi, dim: int, basis=None) -> np.ndarray:
-    """The validated unit vector of dimension ``dim``, or its amplitudes ``basis^dagger psi``."""
+def _state(psi, dim: int) -> np.ndarray:
+    """The validated unit vector of dimension ``dim``."""
     v = density.validate_state(psi)
     if v.shape[0] != dim:
         raise DimensionMismatch(f"state dimension {v.shape[0]}, expected {dim}")
-    v = v / np.linalg.norm(v)
-    return v if basis is None else basis.conj().T @ v
+    return v / np.linalg.norm(v)
 
 
 def state_probabilities(F: Observable, psi) -> np.ndarray:
     """Outcome weights ``p_j = |<u_j|psi>|^2`` in the observable's eigenbasis."""
-    return np.abs(_state(psi, F.dim, F.basis_matrix())) ** 2
+    v = _state(psi, F.dim)
+    return np.abs(F.basis_matrix().conj().T @ v) ** 2
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,7 @@ def _measured(F: Observable, psi) -> _Measured:
     amp = u.conj().T @ v
     part = F.eigenvalue_partition()
     # The qudit mask: M[j, k] = 1 iff j and k share a block of part.
-    ids = np.array(part._block_of)
-    out = u @ ((ids[:, None] == ids) * np.outer(amp, amp.conj())) @ u.conj().T
+    out = u @ (_same_block(part) * np.outer(amp, amp.conj())) @ u.conj().T
     return _Measured(v, amp, part, (out + out.conj().T) / 2)
 
 
@@ -347,7 +346,8 @@ def commuting_profile(F: Observable, G: Observable, psi) -> QuantumProfile:
     under the shared outcome distribution.
     """
     basis, f_vals, g_vals = _joint_eigenbasis(F, G)
-    p = np.abs(_state(psi, F.dim, basis)) ** 2
+    v = _state(psi, F.dim)
+    p = np.abs(basis.conj().T @ v) ** 2
     pi_f = Observable(tuple(f_vals)).eigenvalue_partition()
     pi_g = Observable(tuple(g_vals)).eigenvalue_partition()
     dist = ProbDist(tuple(float(x) for x in p / p.sum()))

@@ -244,6 +244,17 @@ def test_pairset_accepts_numpy_integers():
     assert pairs == PairSet(Universe(3), {(0, 2), (2, 1)})
 
 
+def test_a_pair_set_from_the_constructor_prints_as_its_sorted_twin():
+    """The repr of a checked pair set does not depend on the order in which its pairs were given."""
+    rng = np.random.default_rng(24)
+    for _ in range(500):
+        n = int(rng.integers(2, 10))
+        pairs = [pair for pair in itertools.product(range(n), repeat=2) if rng.random() < 0.5]
+        shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
+        s = PairSet(Universe(n), shuffled)
+        assert repr(s) == repr(PairSet(Universe(n), pairs)) and s.pairs == frozenset(pairs)
+
+
 def _built_and_wanted(pair) -> list:
     """Each kind of pair set the library builds from two partitions, with the frozenset it holds."""
     d, e = (ditset(p) for p in pair)
@@ -312,15 +323,44 @@ def test_make_partition_accepts_numpy_integer_elements():
 
 
 def test_make_partition_keeps_the_input_ints_and_returns_its_block_map():
-    """The blocks hold the document's own int objects, not copies, and ``_block_of`` is set."""
+    """``_block_of`` is set, and the blocks formed from it are canonical and match the reference's code."""
     n = 1000
     blocks = [list(range(n - 1, 499, -1)), list(range(0, 500, 2)), list(range(1, 500, 2))]
-    own = {x: x for b in blocks for x in b}
     p = make_partition(n, blocks)
     assert "_block_of" in p.__dict__
-    assert all(x is own[x] for b in p.blocks for x in b if x > 256)
     assert p.blocks == (tuple(range(0, 500, 2)), tuple(range(1, 500, 2)), tuple(range(500, n)))
     assert p._block_of == helpers.make_partition_loop(n, blocks)._block_of
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_validated_partition_forms_its_blocks_when_first_read(seed):
+    """Shuffled blocks, of Python or numpy ints, are read as canonical blocks of Python ints."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    labels = rng.integers(0, 4, n)
+    blocks = [rng.permutation(np.flatnonzero(labels == i)) for i in rng.permutation(4) if (labels == i).any()]
+    want = tuple(sorted(tuple(sorted(b.tolist())) for b in blocks))
+    for doc in ([b.tolist() for b in blocks], [[np.uint8(x) for x in b] for b in blocks], blocks):
+        p = make_partition(n, doc)
+        assert "blocks" not in vars(p)
+        got = p.blocks
+        assert vars(p)["blocks"] is got and got == want
+        assert all(type(x) is int for b in got for x in b)
+
+
+def test_make_partition_at_a_million_elements_retains_only_its_code():
+    """Two 20-block documents, one in canonical and one in reversed block order: each keeps one n-tuple."""
+    n = 10 ** 6
+    labels = np.random.default_rng(24).integers(0, 20, n)
+    canonical = sorted((np.flatnonzero(labels == i).tolist() for i in range(20)), key=min)
+    for blocks in (canonical, canonical[::-1]):
+        tracemalloc.start()
+        try:
+            p = make_partition(n, blocks)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 10 * 2 ** 20 and "blocks" not in vars(p)
 
 
 def _codes_only(n):
@@ -352,7 +392,7 @@ def test_a_partition_the_library_builds_behaves_as_one_from_the_constructor(n):
             groups: dict = {}
             for x, i in enumerate(built._block_of):
                 groups.setdefault(i, []).append(x)
-            # One twin from the constructor, one with make_partition's eager blocks.
+            # One twin from the constructor, one from make_partition's validating pass.
             twins = (Partition(u, tuple(map(tuple, groups.values()))[::-1]), make_partition(u, groups.values()))
             # The copies are taken before anything reads the built partition's blocks.
             for s in (pickle.loads(pickle.dumps(built)), copy.copy(built), built):
