@@ -16,9 +16,9 @@ rational numbers ``p_j p_k``, so purities, entropies and decoherence sums
 are computed as exact fractions by :class:`ClassicalDensity` without ever
 materializing the irrational square roots.
 
-Validation keeps the spectrum of its one ``eigvalsh`` in the private
-:class:`_Density`; passed in place of a matrix, that carrier is reused, so a
-report validates and decomposes each input once.
+Validation certifies positivity by one Cholesky factor; the private
+:class:`_Density` computes a spectrum only when one is read.  Passed in place of
+a matrix, that carrier is reused, so a report validates and decomposes each input once.
 """
 
 from __future__ import annotations
@@ -57,10 +57,13 @@ def _as_square_matrix(mat) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Density:
-    """A checked matrix ``m``, the ``evals`` its validation found, and ``eigh`` on first use."""
+    """A checked matrix ``m``, and its ``evals`` and ``eigh`` on first use."""
 
     m: np.ndarray
-    evals: np.ndarray
+
+    @cached_property
+    def evals(self) -> np.ndarray:
+        return np.linalg.eigvalsh((self.m + self.m.conj().T) / 2)
 
     @cached_property
     def eigh(self) -> tuple:
@@ -85,11 +88,21 @@ def _validated(mat) -> _Density:
         tr = complex(m.trace())
         if abs(tr - 1) > DENSITY_TOL:
             raise TraceNotOne(f"trace is {tr}, expected 1 within {DENSITY_TOL}")
-        evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        low = float(evals.min())
+        # h = 2H + tol I, H = (m + m^dagger)/2, has a Cholesky factor iff lambda_min(H) > -tol/2.
+        # A trace-one H the spectral test accepts has ||H||_2 <= 1 + n tol, so the factor's backward
+        # error, about n eps ||h||, is far below tol/2: the spectrum never rejects a certified H.
+        # Without a finite factor (an overflowed input can give inf or NaN), the spectrum decides.
+        h = m + m.conj().T
+        h.flat[::len(h) + 1] += DENSITY_TOL
+        try:
+            certified = bool(np.isfinite(np.linalg.cholesky(h).diagonal()).all())
+        except np.linalg.LinAlgError:
+            certified = False
+        d = _Density(m)
+        low = 0.0 if certified else float(d.evals.min())
     if not low >= -DENSITY_TOL:  # NaN when a huge entry overflowed
         raise NotPSD(f"minimum eigenvalue {low:.3e} is below -{DENSITY_TOL}")
-    return _Density(m, evals)
+    return d
 
 
 def validate_density(mat) -> np.ndarray:

@@ -97,14 +97,14 @@ class PairSet:
     pairs: frozenset
 
     def __post_init__(self):
-        pairs = frozenset(self.pairs)
+        pairs = list(self.pairs)
         n = self.universe.size
-        for pair in pairs:
+        for pair in pairs:  # before hashing, so an unhashable member is refused like any other
             if not (isinstance(pair, tuple) and len(pair) == 2
                     and _is_element(pair[0], n) and _is_element(pair[1], n)):
                 raise IndexOutOfRange(f"pair {pair!r} outside universe of size {n}")
-        # Inserted in sorted order, as a built set forms its pairs, so equal sets print alike.
-        object.__setattr__(self, "pairs", frozenset(sorted(pairs)))
+        # Python ints inserted in sorted order, as a built set forms its pairs, so equal sets print alike.
+        object.__setattr__(self, "pairs", frozenset(sorted({(int(a), int(b)) for a, b in pairs})))
 
     def __getattr__(self, name):
         if name != "pairs" or "_indicator" not in self.__dict__:

@@ -14,9 +14,9 @@ and :func:`h_observable_state` computes all three routes and insists they
 agree; the pair route is the classical region oracle on ``p``.
 Measurement follows the fundamental theorem: measuring ``F`` decoheres
 exactly its qudits, the eigenvector pairs with different eigenvalues.  So
-:func:`measure` masks in the eigenbasis, ``rho' = U (M o a a^dagger)
-U^dagger`` with ``a = U^dagger psi`` and ``M[j, k] = 1`` iff ``j`` and
-``k`` share an eigenvalue class.  The private :class:`_Measured` holds the
+:func:`measure` sums the class projections, ``rho' = sum_c (P_c psi)
+(P_c psi)^dagger`` with ``P_c psi`` the sum of ``a_j u_j`` over the
+eigenvectors of class ``c``, ``a = U^dagger psi``.  :class:`_Measured` holds the
 state, ``a``, the partition and ``rho'``; passed in place of ``psi`` it is
 reused, so a report builds them once, while the three ``h(F : psi)`` routes
 and the two sides of :func:`quantum_fundamental_check` still run apart.
@@ -44,7 +44,7 @@ import numpy as np
 from . import classical, density
 from .classical import JointDist, ProbDist
 from .errors import BoundExceeded, DimensionMismatch, InvalidObservable, NotCommuting, _agree
-from .partitions import PairSet, Partition, Universe, _grouped, _same_block, ditset
+from .partitions import PairSet, Partition, Universe, _grouped, ditset
 
 #: Tolerance used when grouping float eigenvalues into classes.
 EIGENVALUE_GROUP_TOL = 1e-9
@@ -211,8 +211,9 @@ def _measured(F: Observable, psi) -> _Measured:
     u = F.basis_matrix()
     amp = u.conj().T @ v
     part = F.eigenvalue_partition()
-    # The qudit mask: M[j, k] = 1 iff j and k share a block of part.
-    out = u @ (_same_block(part) * np.outer(amp, amp.conj())) @ u.conj().T
+    # Column c is P_c psi, the sum of amp[j] u[:, j] over class c, in the original basis.
+    phi = (u * amp) @ (np.array(part._block_of)[:, None] == np.arange(part.n_blocks))
+    out = phi @ phi.conj().T
     return _Measured(v, amp, part, (out + out.conj().T) / 2)
 
 
@@ -241,9 +242,9 @@ def h_observable_state(F: Observable, psi) -> ObservableStateEntropy:
 def measure(F: Observable, psi) -> np.ndarray:
     """Lüders mixture of ``|psi><psi|`` over the eigenspace projectors of ``F``.
 
-    Computed as the qudit mask in the eigenbasis: the entries of
-    ``|psi><psi|`` on pairs of eigenvectors with different eigenvalues are
-    zeroed, the rest kept.
+    Computed from the class projections as ``sum_c (P_c psi)(P_c psi)^dagger``:
+    in the eigenbasis, the entries of ``|psi><psi|`` on pairs of
+    eigenvectors with different eigenvalues are zeroed, the rest kept.
     """
     return _measured(F, psi).rho_prime
 
@@ -497,15 +498,16 @@ def density_pair_profile(rho, tau) -> QuantumProfile:
     subtractions then give ``h_f_given_g = (1 - a) b``,
     ``h_g_given_f = a (1 - b)`` and ``mutual = (1 - a)(1 - b)``.  For
     small dimensions the spectral quadruple-sum oracle is run alongside and
-    disagreement beyond ``ROUTE_TOL`` raises :class:`InternalInconsistency`.
+    disagreement beyond ``ROUTE_TOL`` raises :class:`InternalInconsistency`;
+    only that oracle reads the spectra, the closed forms the entry sums ``tr[m^2]``.
     """
-    lam, mu = (np.clip(d.evals, 0.0, None) for d in map(density._validated, (rho, tau)))
-    a, b = float(np.sum(lam ** 2)), float(np.sum(mu ** 2))
+    r, t = density._validated(rho), density._validated(tau)
+    a, b = density._trace_product(r.m, r.m), density._trace_product(t.m, t.m)
     return classical._route(
         "density pair profile", "auto",
         lambda: classical._six(QuantumProfile, 1.0 - a, 1.0 - b, 1.0 - a * b),
-        lambda: spectral_pair_bruteforce(lam, mu),
-        (len(lam) * len(mu)) ** 2 <= classical.REGION_ORACLE_BOUND, ROUTE_TOL,
+        lambda: spectral_pair_bruteforce(np.clip(r.evals, 0.0, None), np.clip(t.evals, 0.0, None)),
+        (len(r.m) * len(t.m)) ** 2 <= classical.REGION_ORACLE_BOUND, ROUTE_TOL,
     )
 
 

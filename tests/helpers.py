@@ -16,7 +16,11 @@ import numpy as np
 
 from ditlab import classical, cli
 from ditlab.classical import EntropyProfile, JointDist, ProbDist
-from ditlab.errors import EmptyBlock, IndexOutOfRange, OverlappingBlocks, UncoveredElement
+from ditlab.density import DENSITY_TOL
+from ditlab.errors import (
+    EmptyBlock, IndexOutOfRange, InvalidDensityMatrix, NotHermitian, NotPSD, OverlappingBlocks,
+    TraceNotOne, UncoveredElement,
+)
 from ditlab.logic import evaluate, variables
 from ditlab.partitions import PairSet, Partition, Universe, _as_universe, enumerate_partitions, top
 from ditlab.quantum import EIGENVALUE_GROUP_TOL, Observable
@@ -235,6 +239,36 @@ def rho_partition_loop(pi, p) -> np.ndarray:
             for k in block:
                 m[j, k] = root[j] * root[k]
     return m
+
+
+def validate_density_spectral(mat) -> np.ndarray:
+    """Reference for ``density.validate_density``: its finite, Hermitian and trace checks, then
+    positivity decided by the spectrum alone, ``eigvalsh(...).min() >= -DENSITY_TOL``."""
+    m = np.asarray(mat).astype(np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_gap = float(np.abs(m - m.conj().T).max())
+        if not math.isfinite(herm_gap) and not np.isfinite(m).all():
+            raise InvalidDensityMatrix("matrix has a non-finite entry")
+        if herm_gap > DENSITY_TOL:
+            raise NotHermitian(f"max |rho - rho^dagger| = {herm_gap:.3e} exceeds {DENSITY_TOL}")
+        tr = complex(m.trace())
+        if abs(tr - 1) > DENSITY_TOL:
+            raise TraceNotOne(f"trace is {tr}, expected 1 within {DENSITY_TOL}")
+        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+    if not low >= -DENSITY_TOL:
+        raise NotPSD(f"minimum eigenvalue {low:.3e} is below -{DENSITY_TOL}")
+    return m
+
+
+def measured_mask(F, psi) -> np.ndarray:
+    """Reference for ``quantum._measured(F, psi).rho_prime``: the qudit mask in the eigenbasis,
+    ``U (M o a a^dagger) U^dagger`` with ``a = U^dagger psi`` and ``M[j, k] = 1`` iff ``j`` and
+    ``k`` share an eigenvalue class, symmetrized."""
+    u = F.basis_matrix()
+    amp = u.conj().T @ (psi / np.linalg.norm(psi))
+    ids = np.array(F.eigenvalue_partition()._block_of)
+    out = u @ ((ids[:, None] == ids) * np.outer(amp, amp.conj())) @ u.conj().T
+    return (out + out.conj().T) / 2
 
 
 def eigenvalue_classes_loop(values) -> Partition:

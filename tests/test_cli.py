@@ -409,7 +409,7 @@ def test_each_input_is_validated_and_decomposed_once_per_report(tmp_path, monkey
     counted = {"validations": _count_builds(monkeypatch, density, "_validated"),
                "rho_primes": _count_builds(monkeypatch, quantum, "_measured")}
     counted.update((name, helpers.count_calls(monkeypatch, owner, name)) for owner, name in [
-        (np.linalg, "eigvalsh"), (np.linalg, "eigh"), (density, "validate_state"),
+        (np.linalg, "cholesky"), (np.linalg, "eigvalsh"), (np.linalg, "eigh"), (density, "validate_state"),
         (quantum.Observable, "eigenvalue_partition")])
 
     def counts(argv):
@@ -419,7 +419,7 @@ def test_each_input_is_validated_and_decomposed_once_per_report(tmp_path, monkey
         return {name: len(calls) for name, calls in counted.items() if calls}
 
     assert counts(["distance", "--rho", r_f, "--tau", t_f]) == {
-        "validations": 2, "eigvalsh": 2, "eigh": 2}
+        "validations": 2, "cholesky": 2, "eigh": 2}
     assert counts(["measure", "--state", s_f, "--observable", o_f, "--emit-density"]) == {
         "validate_state": 1, "rho_primes": 1, "eigenvalue_partition": 1}
 

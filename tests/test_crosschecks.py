@@ -882,6 +882,50 @@ def test_witness_recheck_raises_when_reevaluation_disagrees(monkeypatch):
     assert len(calls) == 1
 
 
+# ------------------------------------ the PSD certificate and the class projections
+
+@st.composite
+def density_cases(draw):
+    """A trace-one Hermitian matrix in a random basis, its lowest eigenvalue near -tol or -tol/2."""
+    n = draw(st.integers(2, 128))
+    low = draw(st.one_of(st.floats(-1.05, -0.95), st.floats(-0.55, -0.45), st.floats(-3, 0)))
+    low *= density.DENSITY_TOL
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):  # rank one, its other eigenvalues at the low one
+        lam = np.full(n, low)
+        lam[-1] = 1 - (n - 1) * low
+    else:
+        rest = rng.random(n - 1) + 0.01
+        lam = np.concatenate([[low], rest * (1 - low) / rest.sum()])
+    u = helpers.random_unitary(rng, n)
+    m = (u * lam) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+@given(density_cases())
+@example(np.diag([1 + 1.2e-10, -1.2e-10]).astype(complex))
+@example(np.diag([1 + 0.9e-10, -0.9e-10]).astype(complex))
+@settings(max_examples=200, deadline=None)
+def test_the_cholesky_certificate_decides_as_the_spectrum(m):
+    def outcome(validate):
+        try:
+            return validate(m).tobytes()
+        except errors.InvalidDensityMatrix as e:
+            return type(e), str(e)
+
+    assert outcome(density.validate_density) == outcome(helpers.validate_density_spectral)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 31, 64, 128])
+def test_the_measured_state_is_the_qudit_mask_form(dim):
+    rng = np.random.default_rng(dim)
+    for k in sorted({1, 2, min(24, dim), dim}):
+        F = Observable(tuple(int(x) for x in rng.permutation(dim) % k), helpers.random_unitary(rng, dim))
+        psi = helpers.random_state(rng, dim)
+        gap = np.abs(quantum._measured(F, psi).rho_prime - helpers.measured_mask(F, psi)).max()
+        assert gap <= 1e-14, (k, gap)
+
+
 # ------------------------------------------- every cross-check's failure path
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)

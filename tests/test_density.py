@@ -312,17 +312,21 @@ def test_fundamental_identity_random_instances():
 
 # ------------------------------------------------------------ von neumann
 
-def test_spectra_come_from_the_validation_eigvalsh_alone(monkeypatch):
-    """One ``eigvalsh`` per input matrix, and no ``eigh``."""
-    eigvalsh = helpers.count_calls(monkeypatch, np.linalg, "eigvalsh")
-    eigh = helpers.count_calls(monkeypatch, np.linalg, "eigh")
+def test_validation_factors_once_and_spectra_come_only_where_read(monkeypatch):
+    """One ``cholesky`` per input matrix; ``eigvalsh`` only for a route that reads a spectrum, no ``eigh``."""
+    calls = {name: helpers.count_calls(monkeypatch, np.linalg, name)
+             for name in ("cholesky", "eigvalsh", "eigh")}
     rng = np.random.default_rng(3)
     rho, tau = helpers.random_density(rng, 5), helpers.random_density(rng, 5)
-    for f, args in ((dm_logical_entropy, (rho,)), (von_neumann, (rho,)),
-                    (density_pair_profile, (rho, tau))):
-        eigvalsh.clear()
+    big = helpers.random_density(rng, 32), helpers.random_density(rng, 32)
+    # The pair profile's spectral oracle runs at dim 5 and not at dim 32.
+    for f, args, eigvalsh in ((dm_logical_entropy, (rho,), 0), (von_neumann, (rho,), 1),
+                              (density_pair_profile, (rho, tau), 2), (density_pair_profile, big, 0)):
+        for made in calls.values():
+            made.clear()
         f(*args)
-        assert (len(eigvalsh), len(eigh)) == (len(args), 0), f.__name__
+        assert {name: len(made) for name, made in calls.items()} == {
+            "cholesky": len(args), "eigvalsh": eigvalsh, "eigh": 0}, (f.__name__, len(args[0]))
 
 
 def test_von_neumann_worked_values():

@@ -239,9 +239,15 @@ def test_pairset_refuses_members_that_are_not_pairs_of_elements(member):
         PairSet(Universe(3), {member})
 
 
+def test_pairset_refuses_an_unhashable_member():
+    with pytest.raises(IndexOutOfRange, match=re.escape("pair [0, 1] outside universe of size 3")):
+        PairSet(Universe(3), [[0, 1]])
+
+
 def test_pairset_accepts_numpy_integers():
     pairs = PairSet(Universe(3), {(np.int64(0), np.uint8(2)), (2, np.int32(1))})
     assert pairs == PairSet(Universe(3), {(0, 2), (2, 1)})
+    assert repr(pairs) == repr(PairSet(Universe(3), {(0, 2), (2, 1)}))
 
 
 def test_a_pair_set_from_the_constructor_prints_as_its_sorted_twin():
