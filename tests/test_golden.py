@@ -19,6 +19,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 #: Case name -> argv; an argument starting with "@" names a file in inputs/.
 CASES = {
+    "entropy_single_exact":
+        ["entropy", "--pi", "@parity6.json", "--p", "@p6_exact.json"],
     "entropy_single_exact_shannon":
         ["entropy", "--pi", "@parity6.json", "--p", "@p6_exact.json", "--shannon"],
     "entropy_pair_exact_shannon":
@@ -45,8 +47,12 @@ CASES = {
         ["tautology", "--formula", "@formula_or.json", "--format", "csv"],
     "measure_demo_density":
         ["measure", "--demo", "die-parity", "--emit-density"],
+    "measure_files":
+        ["measure", "--state", "@state4.json", "--observable", "@observable4.json"],
     "distance":
         ["distance", "--rho", "@rho.json", "--tau", "@tau.json"],
+    "distance_csv":
+        ["distance", "--rho", "@rho.json", "--tau", "@tau.json", "--format", "csv"],
 }
 
 
