@@ -58,11 +58,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import BoundExceeded, InvalidDistribution, LengthMismatch, UniverseMismatch, _agree
+from .errors import (BoundExceeded, IndexOutOfRange, InvalidDistribution, LengthMismatch, UniverseMismatch,
+                     _agree)
 from .partitions import (
     DITSET_MATERIALIZE_BOUND,
     PairSet,
     Partition,
+    _is_element,
     ditset,
     join,
 )
@@ -237,8 +239,17 @@ class ProbDist:
         return ProbDist(tuple(Fraction(1, n) for _ in range(n)))
 
     def prob(self, indices: Sequence[int]) -> Number:
-        """Probability of the event given by a collection of outcome indices."""
-        return _sum(self.weights[i] for i in indices)
+        """Probability of the event given by a collection of outcome indices, each outcome
+        counted once and summed in ascending order.
+
+        Raises :class:`IndexOutOfRange` for an index that is not an integer in
+        ``range(size)`` (a bool is not one).
+        """
+        n, indices = self.size, list(indices)
+        for j in indices:
+            if not _is_element(j, n):
+                raise IndexOutOfRange(f"event index {j!r} outside universe of size {n}")
+        return _sum(self.weights[i] for i in sorted(set(indices)))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,16 @@ distances).  Inputs are small JSON documents tagged with a ``kind`` field;
 reports echo a hash of each input, list named quantities, and re-verify
 the defining identities with explicit residuals.
 
+Each command hands its quantities and its identity rows
+``(name, residual, tol, covers)`` to :func:`_report`, which builds every report.
+
 Each document is loaded in one pass; a distribution's weights and a joint
 distribution's cells are each read as one list (see :func:`_load_dist`).
 
 Output is byte-for-byte deterministic: keys are emitted in fixed order,
 floats with 17 significant digits, exact rationals as ``"a/b"`` strings.
+CSV lists the quantities, the identities and any matrices, one
+``name,value`` row per scalar.
 Exit codes: 0 success, 2 malformed input, 3 mathematical invariant
 violated (including any failed identity in the report), 4 work limit
 exceeded (including an exact value with more digits than Python prints).
@@ -35,7 +40,7 @@ import numpy as np
 
 from . import classical, density, logic, quantum
 from .classical import JointDist, ProbDist
-from .errors import BoundExceeded, DitlabError, FormulaSyntaxError
+from .errors import BoundExceeded, DitlabError, FormulaSyntaxError, InternalInconsistency
 from .partitions import make_partition
 from .quantum import Observable
 
@@ -261,7 +266,7 @@ def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return _dumps(report) + "\n"
     rows: list = []
-    for section in ("quantities", "identities_checked"):
+    for section in ("quantities", "identities_checked", "matrices"):
         _flatten(section, report.get(section, {}), rows)
     return "name,value\n" + "".join(f"{name},{value}\n" for name, value in rows)
 
@@ -271,18 +276,26 @@ def _matrix_json(mat: np.ndarray) -> list:
     return [[[float(e.real), float(e.imag)] for e in row] for row in m]
 
 
-def _identity(residual, tol: float) -> dict:
-    res = abs(float(residual))
-    return {"pass": res <= tol, "residual": res}
+def _report(command: str, inputs: dict, quantities: dict, identities, **sections) -> dict:
+    """The report of ``command``: each input's sha256, the printed ``quantities``, the
+    ``identities`` judged, then each further section that is not ``None``, in the order given.
 
-
-def _report(command: str, inputs: dict) -> dict:
-    return {
-        "command": command,
-        "inputs": {k: {"sha256": v} for k, v in inputs.items()},
-        "quantities": {},
-        "identities_checked": {},
-    }
+    Each identity is a row ``(name, residual, tol, covers)``.  It passes when
+    ``abs(float(residual)) <= tol``, and ``covers`` names the printed
+    quantities it is a second route to; a name the report does not print
+    raises :class:`InternalInconsistency`.
+    """
+    checked = {}
+    for name, residual, tol, covers in identities:
+        unprinted = [c for c in covers if c not in quantities]
+        if unprinted:
+            raise InternalInconsistency(f"identity {name} covers {', '.join(unprinted)}, "
+                                        "which the report does not print")
+        res = abs(float(residual))
+        checked[name] = {"pass": res <= tol, "residual": res}
+    return {"command": command, "inputs": {k: {"sha256": v} for k, v in inputs.items()},
+            "quantities": quantities, "identities_checked": checked,
+            **{k: v for k, v in sections.items() if v is not None}}
 
 
 # ------------------------------------------------------------------ commands
@@ -303,39 +316,34 @@ def cmd_entropy(args) -> dict:
         joint, inputs["joint"] = _load_joint(args.joint)
     else:
         p, inputs["p"] = _load_dist(args.p)
-    report = _report("entropy", inputs)
-    q = report["quantities"]
-    ids = report["identities_checked"]
-    if args.joint is not None:
-        prof = classical.twoset_profile(pi, sigma, joint)
-    elif sigma is None:
+    tol = classical.FLOAT_TOL
+    if args.joint is None and sigma is None:
         h = classical.logical_entropy(pi, p)
-        q["h_pi"] = h
-        ids["unit_interval"] = _identity(max(0.0, float(-h), float(h - 1)), classical.FLOAT_TOL)
-        if args.shannon:
-            q["H_pi"] = classical.shannon_entropy(pi, p)
-        return report
+        shannon = {"H_pi": classical.shannon_entropy(pi, p)} if args.shannon else {}
+        return _report("entropy", inputs, {"h_pi": h, **shannon},
+                       [("unit_interval", max(0.0, float(-h), float(h - 1)), tol, ("h_pi",))])
+    if args.joint is not None:
+        prof, distances = classical.twoset_profile(pi, sigma, joint), {}
     else:
         # One carrier, so the three profiles share its block sums.
         blocks = classical._blocks(pi, sigma, p, "entropy profile")
         prof = classical.entropy_profile(pi, sigma, blocks)
-
-    q.update(asdict(prof))
-    if args.joint is None:
-        q["hamming_distance"] = prof.h_pi_given_sigma + prof.h_sigma_given_pi
-        q["cross_entropy"] = prof.h_joint
-    chain = prof.h_joint - (prof.h_pi_given_sigma + prof.mutual + prof.h_sigma_given_pi)
-    venn = prof.mutual - (prof.h_pi + prof.h_sigma - prof.h_joint)
-    ids["venn_chain"] = _identity(chain, classical.FLOAT_TOL)
-    ids["venn_mutual"] = _identity(venn, classical.FLOAT_TOL)
+        distances = {"hamming_distance": prof.h_pi_given_sigma + prof.h_sigma_given_pi,
+                     "cross_entropy": prof.h_joint}
+    identities = [
+        ("venn_chain", prof.h_joint - (prof.h_pi_given_sigma + prof.mutual + prof.h_sigma_given_pi),
+         tol, ("h_joint", "h_pi_given_sigma", "mutual", "h_sigma_given_pi")),
+        ("venn_mutual", prof.mutual - (prof.h_pi + prof.h_sigma - prof.h_joint),
+         tol, ("mutual", "h_pi", "h_sigma", "h_joint")),
+    ]
+    shannon = {}
     if args.shannon:
         sprof = classical.shannon_profile(pi, sigma, blocks)
-        q.update(("H_" + k.removeprefix("h_"), v) for k, v in asdict(sprof).items())
+        shannon = {"H_" + k.removeprefix("h_"): v for k, v in asdict(sprof).items()}
         tprof = classical.shannon_profile_from_transform(pi, sigma, blocks)
-        ids["shannon_transform"] = _identity(
-            tprof.h_pi_given_sigma - sprof.h_pi_given_sigma, classical.FLOAT_TOL
-        )
-    return report
+        identities.append(("shannon_transform", tprof.h_pi_given_sigma - sprof.h_pi_given_sigma,
+                           tol, ("H_pi_given_sigma",)))
+    return _report("entropy", inputs, {**asdict(prof), **distances, **shannon}, identities)
 
 
 def cmd_tautology(args) -> dict:
@@ -359,27 +367,18 @@ def cmd_tautology(args) -> dict:
             ) from exc
 
     verdict = logic.check_tautology(f, args.max_n, work_limit=limit)
-    report = _report("tautology", {"formula": digest})
-    q = report["quantities"]
-    q["formula"] = logic.to_text(f)
-    q["status"] = verdict.status.value
-    q["bound"] = verdict.bound
-    q["planned_evaluations"] = logic.planned_evaluations(f, args.max_n)
+    quantities = {"formula": logic.to_text(f), "status": verdict.status.value, "bound": verdict.bound,
+                  "planned_evaluations": logic.planned_evaluations(f, args.max_n), "witness": None}
     if verdict.witness is None:
-        q["witness"] = None
-    else:
-        n, env = verdict.witness
-        q["witness"] = {
-            "n": n,
-            "assignment": {
-                name: [list(b) for b in part.blocks] for name, part in sorted(env.items())
-            },
-        }
-        value = logic.evaluate(f, env, n)
-        q["witness_value"] = [list(b) for b in value.blocks]
-        nontop = 0.0 if value.n_blocks < n else 1.0
-        report["identities_checked"]["witness_reevaluates_nontop"] = _identity(nontop, 0.0)
-    return report
+        return _report("tautology", {"formula": digest}, quantities, [])
+    n, env = verdict.witness
+    assignment = {name: [list(b) for b in part.blocks] for name, part in sorted(env.items())}
+    value = logic.evaluate(f, env, n)
+    witness = {"witness": {"n": n, "assignment": assignment},
+               "witness_value": [list(b) for b in value.blocks]}
+    nontop = 0.0 if value.n_blocks < n else 1.0
+    return _report("tautology", {"formula": digest}, {**quantities, **witness},
+                   [("witness_reevaluates_nontop", nontop, 0.0, ("witness", "witness_value"))])
 
 
 _DEMOS = ("die-parity",)
@@ -412,43 +411,34 @@ def cmd_measure(args) -> dict:
     state = quantum._measured(obs, state)
     h = quantum.h_observable_state(obs, state)
     check = quantum.quantum_fundamental_check(obs, state)
-    report = _report("measure", inputs)
-    q = report["quantities"]
-    q["h_F_psi"] = h.value
-    q["h_via_partition"] = h.via_partition
-    q["h_via_measurement"] = h.via_measurement
-    q["entropy_increase"] = check.entropy_increase
-    q["decohered_sumsq"] = check.decohered_sumsq
-    ids = report["identities_checked"]
-    ids["route_partition_agrees"] = _identity(h.value - h.via_partition, quantum.ROUTE_TOL)
-    ids["route_measurement_agrees"] = _identity(h.value - h.via_measurement, quantum.ROUTE_TOL)
-    ids["fundamental_theorem"] = _identity(check.residual, quantum.ROUTE_TOL)
-    if args.emit_density:
-        report["matrices"] = {"rho_prime": _matrix_json(quantum.measure(obs, state))}
-    return report
+    tol = quantum.ROUTE_TOL
+    return _report(
+        "measure", inputs,
+        {"h_F_psi": h.value, "h_via_partition": h.via_partition, "h_via_measurement": h.via_measurement,
+         "entropy_increase": check.entropy_increase, "decohered_sumsq": check.decohered_sumsq},
+        [("route_partition_agrees", h.value - h.via_partition, tol, ("h_F_psi", "h_via_partition")),
+         ("route_measurement_agrees", h.value - h.via_measurement, tol, ("h_F_psi", "h_via_measurement")),
+         ("fundamental_theorem", check.residual, tol, ("entropy_increase", "decohered_sumsq"))],
+        matrices={"rho_prime": _matrix_json(quantum.measure(obs, state))} if args.emit_density else None,
+    )
 
 
 def cmd_distance(args) -> dict:
     rho, rho_digest = _load_density(args.rho)
     tau, tau_digest = _load_density(args.tau)
     rho, tau = density._pair(rho, tau)
-    report = _report("distance", {"rho": rho_digest, "tau": tau_digest})
-    q = report["quantities"]
-    q["h_rho"] = density.dm_logical_entropy(rho)
-    q["h_tau"] = density.dm_logical_entropy(tau)
+    h_rho, h_tau = density.dm_logical_entropy(rho), density.dm_logical_entropy(tau)
     cross = quantum.quantum_cross_entropy(rho, tau)
-    q["cross_entropy"] = cross
     d = quantum.quantum_hamming(rho, tau)
-    q["hamming_distance"] = d
     hs = quantum.hilbert_schmidt_distance(rho, tau)
-    q["hilbert_schmidt"] = hs
-    ids = report["identities_checked"]
-    ids["hamming_equals_hilbert_schmidt"] = _identity(d - hs, classical.FLOAT_TOL)
-    ids["cross_entropy_symmetric"] = _identity(
-        cross - quantum.quantum_cross_entropy(tau, rho), classical.FLOAT_TOL
+    tol = classical.FLOAT_TOL
+    return _report(
+        "distance", {"rho": rho_digest, "tau": tau_digest},
+        {"h_rho": h_rho, "h_tau": h_tau, "cross_entropy": cross, "hamming_distance": d, "hilbert_schmidt": hs},
+        [("hamming_equals_hilbert_schmidt", d - hs, tol, ("hamming_distance", "hilbert_schmidt")),
+         ("cross_entropy_symmetric", cross - quantum.quantum_cross_entropy(tau, rho), tol, ("cross_entropy",)),
+         ("nonnegative", max(0.0, -d), tol, ("hamming_distance",))],
     )
-    ids["nonnegative"] = _identity(max(0.0, -d), classical.FLOAT_TOL)
-    return report
 
 
 # ---------------------------------------------------------------- entry point

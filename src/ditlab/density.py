@@ -33,7 +33,6 @@ import numpy as np
 from .classical import Number, ProbDist, _bits, _purity, block_probabilities
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidDensityMatrix,
     InvalidProjectorSet,
     InvalidStateVector,
@@ -42,7 +41,7 @@ from .errors import (
     TraceNotOne,
     ZeroProbabilityEvent,
 )
-from .partitions import Partition, _is_element, _same_block, join
+from .partitions import Partition, _same_block, join
 
 #: Tolerance for Hermiticity, trace, positivity and projector checks.
 DENSITY_TOL = 1e-10
@@ -147,16 +146,12 @@ def rho_event(indices: Sequence[int], p: ProbDist) -> np.ndarray:
     an index that is not an integer in ``range(p.size)`` (a bool is not one)
     and :class:`ZeroProbabilityEvent` when the event carries no probability.
     """
-    n = p.size
     indices = list(indices)
-    for j in indices:
-        if not _is_element(j, n):
-            raise IndexOutOfRange(f"event index {j!r} outside universe of size {n}")
-    idx = sorted(set(indices))
-    pr = p.prob(idx)
+    pr = p.prob(indices)
     if pr == 0:
         raise ZeroProbabilityEvent("cannot condition on an event of probability zero")
-    amps = np.zeros(n)
+    idx = sorted(set(indices))
+    amps = np.zeros(p.size)
     amps[idx] = np.sqrt([float(p.weights[j]) / float(pr) for j in idx])
     return np.outer(amps, amps)
 

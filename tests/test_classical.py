@@ -29,6 +29,7 @@ from ditlab.classical import (
     twoset_profile,
 )
 from ditlab.errors import (
+    IndexOutOfRange,
     InvalidDistribution,
     LengthMismatch,
     UniverseMismatch,
@@ -93,6 +94,21 @@ def test_probdist_names_the_first_negative_weight_before_forming_numerators():
     w = [F(1, 10 ** 4000 + 2 * i + 1) for i in range(80)] + [F(-1, 3)]
     with pytest.raises(InvalidDistribution, match="^negative weight -1/3$"):
         ProbDist(tuple(w))
+
+
+@pytest.mark.parametrize("indices", [[-1], [True], [5], [0, 3], [1.0], ["0"]],
+                         ids=["negative", "bool", "past-the-end", "one-bad", "float", "str"])
+def test_prob_refuses_indices_that_are_not_outcomes(indices):
+    with pytest.raises(IndexOutOfRange, match=r"^event index .* outside universe of size 3$"):
+        ProbDist((F(1, 2), F(1, 3), F(1, 6))).prob(indices)
+
+
+def test_prob_counts_each_outcome_once_in_ascending_order():
+    p = ProbDist((F(1, 2), F(1, 3), F(1, 6)))
+    assert p.prob([0, 0]) == F(1, 2) and p.prob([2, 0, 2]) == F(2, 3)
+    assert p.prob([np.int64(2), np.int32(0)]) == F(2, 3) and p.prob(np.arange(3)) == 1
+    # (0.1 + 0.2) + 0.7 is 1.0, but (0.7 + 0.2) + 0.1 is not.
+    assert ProbDist((0.1, 0.2, 0.7)).prob([2, 1, 0]) == 1.0
 
 
 def test_jointdist_validation_and_marginals():

@@ -797,6 +797,18 @@ def test_a_failed_identity_prints_the_report_and_exits_three(monkeypatch):
     assert json.loads(out) == want
 
 
+def test_an_identity_naming_a_quantity_the_report_does_not_print_exits_three(monkeypatch):
+    real = cli._report
+
+    def with_stray_row(command, inputs, quantities, identities, **sections):
+        rows = [*identities, ("stray", 0.0, 0.0, ("h_F_psi", "h_stray"))]
+        return real(command, inputs, quantities, rows, **sections)
+
+    monkeypatch.setattr(cli, "_report", with_stray_row)
+    assert run(["measure", "--demo", "die-parity"]) == (
+        3, "", "ditlab: invariant violation: identity stray covers h_stray, which the report does not print\n")
+
+
 def test_a_wrong_join_fails_the_shannon_transform_identity(monkeypatch):
     """The Shannon joint entropy is summed over the join's own blocks, not read off the
     transform's block-pair table, so a wrong join shows up as a failed identity."""
