@@ -15,18 +15,28 @@ exposed here so the correspondence is executable rather than folklore.
 Every two-partition profile applies an entropy functional to the two
 marginals and to the block-pair table ``q[i][j]`` (probability of block ``i``
 of one partition and block ``j`` of the other); ``_six`` then subtracts out
-the conditional and mutual parts.  One builder, ``_table``, makes that table
+the conditional and mutual parts.  One builder, ``_cells``, keys that table
 for partitions of one set and for the two-set profile; it keeps only the
 cells that hold a point.
 
 A :class:`ProbDist` forms its exact weights' integer numerators over one
-common denominator once, in validation (``ProbDist._terms``).  Block sums,
-the table's cells and the join's blocks are each one pass of ``_sums`` over
-them, which adds floats to the bit as the per-block loop does.  The private
-carrier ``_Blocks`` takes the sums once per report, on first use, for
-:func:`entropy_profile`, :func:`shannon_profile` and
-:func:`shannon_profile_from_transform`.  The join keeps its own pass, so
-the Shannon joint entropy and the transform's table stay two routes.
+common denominator ``d`` once, in validation (``ProbDist._terms``).  Block
+sums, the table's cells and the join's blocks are each one pass of
+``_sums`` over them, which adds floats to the bit as the per-block loop
+does.  The private carrier ``_Blocks`` takes these raw totals once per
+report, on first use, for :func:`entropy_profile`, :func:`shannon_profile`
+and :func:`shannon_profile_from_transform`.  The join keeps its own pass,
+so the Shannon joint entropy and the transform's table stay two routes.
+
+The closed forms (:func:`logical_entropy`, :func:`dist_entropy` and the
+closed routes of :func:`entropy_profile` and :func:`twoset_profile`)
+square the integer totals and add them over ``D = d^2``, subtract in
+integers, and form one Fraction (or int) per printed field; float weights
+run the same code with ``D = 1``, so their folds keep their bits.  The
+typed sums (a Fraction or an int per block) are views of the raw totals,
+formed on first read.  Shannon's ``_bits`` still reads them, and the
+oracles still form their own numerators: a faster exact cycle would push
+the benchmark's per-cycle samples past its peak-RSS bound (ROADMAP item 1).
 
 The brute-force oracle, ``_region_table``, sums ``w w'`` over
 ordered pairs of cells into a 2x2 table indexed by which partitions
@@ -320,20 +330,44 @@ def _sum(values) -> Number:
 
 
 def _purity(values) -> Number:
-    return _sum(v * v for v in values)
+    """``sum v^2`` folded left to right: on raw totals, exact ones are integer numerators over ``d^2``."""
+    return _sum(map(operator.mul, values, values))
 
 
-def _logical(values) -> Number:
-    return 1 - _purity(values)
+def _scale(addends) -> tuple:
+    """``(D, form)`` for sums of squared raw totals of ``addends``: ``D = d^2``, and ``form(x)`` is
+    ``Fraction(x, D)`` if a weight is a Fraction, else the int ``x // D``; on floats ``D = 1`` and ``x``."""
+    _, d, fractions = addends
+    if d is None:
+        return 1, lambda x: x
+    D = d * d
+    return D, (lambda x: Fraction(x, D)) if any(fractions) else (lambda x: x // D)
+
+
+def _logical(totals, addends, differ: bool = True) -> Number:
+    """``1 - sum s^2``, or ``sum s^2`` unless ``differ``, over the raw totals ``s`` of ``addends``,
+    formed once (:func:`_scale`): two draws land in different blocks, or in one."""
+    D, form = _scale(addends)
+    x = _purity(totals)
+    return form(D - x if differ else x)
 
 
 def _bits(values) -> float:
     return _sum(-v * math.log2(v) if v > 0.0 else 0.0 for v in map(float, values))
 
 
-def _six(cls, h_a, h_b, h_joint):
-    """A profile ``cls`` from two entropies and their joint, the rest by subtraction."""
-    return cls(h_a, h_b, h_joint, h_joint - h_b, h_joint - h_a, h_a + h_b - h_joint)
+def _six(cls, h_a, h_b, h_joint, form=None):
+    """A profile ``cls`` from two entropies and their joint, the rest by subtraction; ``form``
+    maps each of the six fields, if given."""
+    six = (h_a, h_b, h_joint, h_joint - h_b, h_joint - h_a, h_a + h_b - h_joint)
+    return cls(*six if form is None else map(form, six))
+
+
+def _closed(cls, addends, *totals):
+    """The profile ``cls`` from the raw totals of two marginals and their table: each entropy is
+    ``D - sum s^2`` (:func:`_scale`), the rest follow by subtraction, and each field is formed once."""
+    D, form = _scale(addends)
+    return _six(cls, *(D - _purity(s) for s in totals), form=form)
 
 
 def _sums(keys, size: int, addends) -> list:
@@ -342,30 +376,40 @@ def _sums(keys, size: int, addends) -> list:
     Each key's weights are added left to right in index order, as
     :func:`_sum` adds them over the key's ascending points, so float totals
     are its totals to the bit.  Exact totals are integer numerators over
-    ``d``; a total is ``Fraction(s, d)`` if one of its weights is a
-    Fraction, an int if all are ints, and the int 0 if it has none: the
-    types :func:`_sum` gives.
+    ``d``, typed by :func:`_typed`; with ``d`` None they are returned raw.
     """
-    values, d, fractions = addends
+    values, d, _ = addends
     s = [0] * size
     for k, x in zip(keys, values):
         s[k] += x
+    return s if d is None else _typed(keys, s, addends)
+
+
+def _typed(keys, totals: list, addends) -> list:
+    """Raw totals by key as the values :func:`_sum` gives: ``Fraction(s, d)`` if one of the
+    key's weights is a Fraction, an int if all are ints, and the int 0 if it has none."""
+    _, d, fractions = addends
     if d is None:
-        return s
+        return totals
     hit = set(compress(keys, fractions))
-    return [Fraction(x, d) if k in hit else x // d for k, x in enumerate(s)]
+    return [Fraction(x, d) if k in hit else x // d for k, x in enumerate(totals)]
 
 
-def _table(ids_a, ids_b, n_b: int, addends) -> list:
-    """The occupied cells of the block-pair table in row-major order, in one pass of
-    :func:`_sums`: cell ``(i, j)`` totals the points ``k`` with ``ids_a[k] == i`` and
+def _raw(p: ProbDist) -> tuple:
+    """The addends of ``p`` for raw totals: exact weights' integer numerators over d, or floats."""
+    return p._terms[0], None, None
+
+
+def _cells(ids_a, ids_b, n_b: int) -> tuple:
+    """Keys and size for one :func:`_sums` pass over the occupied cells of the block-pair table,
+    in row-major order: cell ``(i, j)`` totals the points ``k`` with ``ids_a[k] == i`` and
     ``ids_b[k] == j``.  An empty cell would only add an int 0 to a sum over the table."""
     keys = [i * n_b + j for i, j in zip(ids_a, ids_b)]
     occupied = set(keys)
     if len(occupied) <= max(occupied):  # a cell before the last is empty: number the occupied ones
         cell = {k: c for c, k in enumerate(sorted(occupied))}
         keys = [cell[k] for k in keys]
-    return _sums(keys, len(occupied), addends)
+    return keys, len(occupied)
 
 
 def _region_table(weights, ids_a, ids_b) -> list:
@@ -483,7 +527,8 @@ class _Blocks:
 
     Passed in place of ``p`` to the two-partition profiles, it is reused,
     so a report sums each partition's blocks, the block-pair table and the
-    join's blocks once.
+    join's blocks once.  Each pass keeps ``(keys, raw totals)``
+    (:func:`_raw`); the typed sums are views of them, formed on first read.
     """
 
     pi: Partition
@@ -495,24 +540,32 @@ class _Blocks:
         """The weights of ``p``; ``bench/tracing.py`` reads them off a carrier it is passed."""
         return self.p.weights
 
-    @cached_property
-    def pi_sums(self) -> list:
-        return _sums(self.pi._block_of, self.pi.n_blocks, self.p._terms)
+    def _pass(self, keys, size: int) -> tuple:
+        return keys, _sums(keys, size, _raw(self.p))
 
     @cached_property
-    def sigma_sums(self) -> list:
-        return _sums(self.sigma._block_of, self.sigma.n_blocks, self.p._terms)
+    def pi_raw(self) -> tuple:
+        return self._pass(self.pi._block_of, self.pi.n_blocks)
 
     @cached_property
-    def table(self) -> list:
-        """The block-pair table of ``pi`` and ``sigma`` (:func:`_table`)."""
-        return _table(self.pi._block_of, self.sigma._block_of, self.sigma.n_blocks, self.p._terms)
+    def sigma_raw(self) -> tuple:
+        return self._pass(self.sigma._block_of, self.sigma.n_blocks)
 
     @cached_property
-    def join_sums(self) -> list:
-        """The join's block sums, from its own pass rather than from :attr:`table`."""
+    def table_raw(self) -> tuple:
+        """The block-pair table of ``pi`` and ``sigma`` (:func:`_cells`)."""
+        return self._pass(*_cells(self.pi._block_of, self.sigma._block_of, self.sigma.n_blocks))
+
+    @cached_property
+    def join_raw(self) -> tuple:
+        """The join's blocks, from their own pass rather than from the table."""
         j = join(self.pi, self.sigma)
-        return _sums(j._block_of, j.n_blocks, self.p._terms)
+        return self._pass(j._block_of, j.n_blocks)
+
+    pi_sums = cached_property(lambda self: _typed(*self.pi_raw, self.p._terms))
+    sigma_sums = cached_property(lambda self: _typed(*self.sigma_raw, self.p._terms))
+    table = cached_property(lambda self: _typed(*self.table_raw, self.p._terms))
+    join_sums = cached_property(lambda self: _typed(*self.join_raw, self.p._terms))
 
 
 def _blocks(pi: Partition, sigma: Partition, p: ProbDist | _Blocks, what: str) -> _Blocks:
@@ -531,9 +584,15 @@ def block_probabilities(pi: Partition, p: ProbDist) -> list:
     return _sums(pi._block_of, pi.n_blocks, p._terms)
 
 
+def _block_logical(pi: Partition, p: ProbDist, differ: bool = True) -> Number:
+    """:func:`_logical` over the raw block totals of ``pi`` under ``p``."""
+    _check_dist(pi, p, "block probabilities")
+    return _logical(_sums(pi._block_of, pi.n_blocks, _raw(p)), p._terms, differ)
+
+
 def logical_entropy(pi: Partition, p: ProbDist) -> Number:
     """Two-draw distinction probability ``1 - sum_B Pr(B)^2``."""
-    return _logical(block_probabilities(pi, p))
+    return _block_logical(pi, p)
 
 
 def product_measure(region: PairSet, p: ProbDist) -> Number:
@@ -594,7 +653,7 @@ def entropy_profile(
 
     return _route(
         "entropy profile", method,
-        lambda: _six(EntropyProfile, _logical(c.pi_sums), _logical(c.sigma_sums), _logical(c.table)),
+        lambda: _closed(EntropyProfile, c.p._terms, c.pi_raw[1], c.sigma_raw[1], c.table_raw[1]),
         regions, c.pi.universe.size <= DITSET_MATERIALIZE_BOUND,
     )
 
@@ -689,11 +748,11 @@ def twoset_profile(
 
     def closed():
         n_b = sigma.n_blocks
-        q = _table(ids_a, ids_b, n_b, p._terms)
+        q = _sums(*_cells(ids_a, ids_b, n_b), _raw(p))
         # Row and column sums of the table, not per-point sums: the two round floats differently.
         qa = [_sum(q[r:r + n_b]) for r in range(0, len(q), n_b)]
         qb = [_sum(q[j::n_b]) for j in range(n_b)]
-        return _six(EntropyProfile, _logical(qa), _logical(qb), _logical(q))
+        return _closed(EntropyProfile, p._terms, qa, qb, q)
 
     def regions():
         return _regions(EntropyProfile, _region_table(p.weights, ids_a, ids_b))
@@ -703,7 +762,7 @@ def twoset_profile(
 
 def dist_entropy(p: ProbDist) -> Number:
     """Logical entropy of a distribution: two draws differ, ``1 - sum p_i^2``."""
-    return _logical(p.weights)
+    return _logical(p._terms[0], p._terms)
 
 
 def dist_cross_entropy(p: ProbDist, q: ProbDist) -> Number:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import Number, ProbDist, _bits, _purity, block_probabilities
+from .classical import Number, ProbDist, _bits, _block_logical
 from .errors import (
     DimensionMismatch,
     InvalidDensityMatrix,
@@ -316,7 +316,7 @@ class ClassicalDensity:
 
     def purity(self) -> Number:
         """``tr[rho^2] = sum_B Pr(B)^2``, exact for rational weights."""
-        return _purity(block_probabilities(self.partition, self.dist))
+        return _block_logical(self.partition, self.dist, differ=False)
 
     def logical_entropy(self) -> Number:
         return 1 - self.purity()

@@ -118,9 +118,14 @@ def _agree(what: str, a, b, exact: bool, tol: float) -> None:
     ``a`` and ``b`` are two profiles of one dataclass type, compared field by
     field, or two tuples, compared item by item.  Exact mode compares with
     ``!=``; float mode fails unless ``abs(x - y) <= tol``, so NaN and
-    infinity never agree.
+    infinity never agree.  The message shows the two values unless either
+    has more digits than Python converts to text.
     """
     pairs = zip(enumerate(a), b) if isinstance(a, tuple) else zip(vars(a).items(), vars(b).values())
     for (name, x), y in pairs:
         if (x != y) if exact else not abs(x - y) <= tol:
-            raise InternalInconsistency(f"{what} disagree on {name}: {x!r} vs {y!r}")
+            try:
+                message = f"{what} disagree on {name}: {x!r} vs {y!r}"
+            except ValueError:  # more digits than Python converts to text
+                message = f"{what} disagree on {name}"
+            raise InternalInconsistency(message)

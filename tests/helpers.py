@@ -212,6 +212,22 @@ def block_probabilities_loop(blocks, weights) -> list:
     return [functools.reduce(operator.add, (weights[x] for x in block), 0) for block in blocks]
 
 
+def purity_loop(sums):
+    """The squares of typed block sums added left to right from the int 0."""
+    return functools.reduce(operator.add, (s * s for s in sums), 0)
+
+
+def logical_loop(sums):
+    """``1 -`` :func:`purity_loop`: the closed routes' logical entropy."""
+    return 1 - purity_loop(sums)
+
+
+def closed_profile_loop(sums_a, sums_b, table) -> EntropyProfile:
+    """Reference for the closed routes of ``entropy_profile`` and ``twoset_profile``: ``_six``
+    over :func:`logical_loop` of two marginals' typed block sums and of their table's cells."""
+    return classical._six(EntropyProfile, logical_loop(sums_a), logical_loop(sums_b), logical_loop(table))
+
+
 def tautology_search_loop(f, max_n):
     """Reference for ``logic.check_tautology``: the tree evaluator over every assignment.
 

@@ -589,6 +589,88 @@ def test_profiles_on_a_built_distribution_form_no_numerators(monkeypatch):
     assert numerators == []
 
 
+# ------------------------------------------------ closed forms on integer numerators
+
+#: A prime common denominator whose square is past int64.
+_WIDE_DENOMINATOR = 2 ** 61 - 1
+
+
+def _closed_form_weights(kind, rng, n):
+    """``n`` weights of one ``kind``: int 0 and Fractions; a point mass of ints; Fractions
+    over ``_WIDE_DENOMINATOR``; or floats with zeros and subnormals."""
+    if kind == "float":
+        return _float_weights(rng, n)
+    if kind == "point":
+        return [int(x == 0) for x in rng.permutation(n)]
+    d = _WIDE_DENOMINATOR if kind == "wide" else 12
+    cuts = sorted(rng.integers(0, d + 1, n - 1).tolist())
+    counts = [b - a for a, b in zip([0, *cuts], [*cuts, d])]
+    return [Fraction(c, d) if c or rng.random() < 0.5 else 0 for c in counts]
+
+
+@st.composite
+def closed_form_cases(draw):
+    """Two partitions of ``nx * ny`` points, two of the sides ``nx`` and ``ny``, and weights of one kind."""
+    kind = draw(st.sampled_from(["mixed", "point", "wide", "float"]))
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(2 if kind == "wide" else 1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = nx * ny
+    parts = [_partition(rng.integers(0, size, size).tolist()) for size in (n, n, nx, ny)]
+    return kind, parts, _closed_form_weights(kind, rng, n)
+
+
+@given(closed_form_cases())
+@settings(max_examples=150, deadline=None)
+def test_closed_forms_equal_the_fold_of_typed_sums_in_value_and_type(case):
+    """Floats bit for bit; exact values of the fold's types, all ints on a point mass."""
+    kind, (pi, sigma, px, py), weights = case
+    p = ProbDist(tuple(weights))
+    if kind == "wide":
+        assert p._terms[1] ** 2 >= 2 ** 63
+    ny, n_b = py.universe.size, py.n_blocks
+    joint = JointDist(tuple(tuple(weights[x:x + ny]) for x in range(0, len(weights), ny)))
+    ids = [px._block_of[k // ny] * n_b + py._block_of[k % ny] for k in range(len(weights))]
+    q = helpers.block_probabilities_loop(_groups(ids, px.n_blocks * n_b), weights)
+    rows = [helpers.block_probabilities_loop([range(r, r + n_b)], q)[0] for r in range(0, len(q), n_b)]
+    cols = [helpers.block_probabilities_loop([range(j, len(q), n_b)], q)[0] for j in range(n_b)]
+    pi_sums = helpers.block_probabilities_loop(pi.blocks, weights)
+    got = [*astuple(entropy_profile(pi, sigma, p, "closed")), *astuple(twoset_profile(px, py, joint, "closed")),
+           classical.logical_entropy(pi, p), classical.dist_entropy(p),
+           density.ClassicalDensity(pi, p).purity()]
+    want = [*astuple(helpers.closed_profile_loop(pi_sums, helpers.block_probabilities_loop(sigma.blocks, weights),
+                                                 _table_loop(pi, sigma, weights))),
+            *astuple(helpers.closed_profile_loop(rows, cols, q)),
+            helpers.logical_loop(pi_sums), helpers.logical_loop(weights), helpers.purity_loop(pi_sums)]
+    if kind == "float":
+        assert all(map(_same, got, want)), (got, want)
+    else:
+        assert got == want and list(map(type, got)) == list(map(type, want)), (got, want)
+    if kind == "point":
+        assert {type(x) for x in got} == {int}
+
+
+@pytest.mark.parametrize("route", ["entropy_profile", "twoset_profile", "cli"])
+def test_the_oracle_catches_an_integer_purity_off_by_one_over_d_squared(monkeypatch, route):
+    """Far below any float tolerance, and still caught: the exact oracle compares with ``!=``."""
+    purity = classical._purity
+    monkeypatch.setattr(classical, "_purity", lambda totals: purity(totals) + 1)
+    if route == "cli":
+        argv = [str(GOLDEN_INPUTS / name) for name in ("parity6.json", "thirds6.json", "p6_exact.json")]
+        err = io.StringIO()
+        code = cli.main(["entropy", "--pi", argv[0], "--sigma", argv[1], "--p", argv[2]],
+                        stdout=io.StringIO(), stderr=err)
+        assert code == 3 and "closed form and oracle" in err.getvalue()
+        return
+    rng = np.random.default_rng(5)
+    with pytest.raises(InternalInconsistency, match="closed form and oracle"):
+        if route == "entropy_profile":
+            n = 64
+            entropy_profile(helpers.random_partition(rng, n), helpers.random_partition(rng, n),
+                            helpers.rational_dist(rng, n), "auto")
+        else:
+            twoset_profile(top(3), _partition([0, 1, 0, 1]), helpers.rational_joint(rng, 3, 4), "auto")
+
+
 @st.composite
 def exact_joints(draw):
     pi, sigma = _partition(draw(_labels)), _partition(draw(_labels))
@@ -1036,6 +1118,28 @@ def test_compare_never_lets_nan_or_infinity_agree(bad):
         errors._agree("check", (bad,), (bad,), False, 1.0)
     errors._agree("check", (0.5, Fraction(1, 3)), (0.5 + 1e-13, Fraction(1, 3)), False, 1e-12)
     errors._agree("check", (Fraction(1, 3),), (Fraction(1, 3),), True, 0)
+
+
+def test_compare_names_values_too_long_to_print_without_them():
+    f = Fraction(1, 10 ** 5000 + 1)
+    with pytest.raises(InternalInconsistency, match=r"^check disagree on 0$"):
+        errors._agree("check", (f,), (2 * f,), True, 0)
+    with pytest.raises(InternalInconsistency, match=r"^check disagree on 0: Fraction\(1, 3\) vs 0\.5$"):
+        errors._agree("check", (Fraction(1, 3),), (0.5,), False, 1e-12)
+
+
+def test_a_wrong_closed_form_on_a_long_denominator_exits_three(monkeypatch, tmp_path):
+    """Its profile's values have more digits than Python prints; the verdict still reads exit 3."""
+    huge = 10 ** 3000 + 7
+    part, dist = tmp_path / "pi.json", tmp_path / "p.json"
+    part.write_text(json.dumps({"kind": "partition", "n": 2, "blocks": [[0], [1]]}))
+    dist.write_text(json.dumps({"kind": "dist", "weights": [f"1/{huge}", f"{huge - 1}/{huge}"]}))
+    purity = classical._purity
+    monkeypatch.setattr(classical, "_purity", lambda totals: purity(totals) + 1)
+    err = io.StringIO()
+    code = cli.main(["entropy", "--pi", str(part), "--sigma", str(part), "--p", str(dist)],
+                    stdout=io.StringIO(), stderr=err)
+    assert code == 3 and "closed form and oracle disagree on h_pi" in err.getvalue()
 
 
 def test_nan_on_both_routes_raises(monkeypatch):
