@@ -32,11 +32,15 @@ The closed forms (:func:`logical_entropy`, :func:`dist_entropy` and the
 closed routes of :func:`entropy_profile` and :func:`twoset_profile`)
 square the integer totals and add them over ``D = d^2``, subtract in
 integers, and form one Fraction (or int) per printed field; float weights
-run the same code with ``D = 1``, so their folds keep their bits.  The
-typed sums (a Fraction or an int per block) are views of the raw totals,
-formed on first read.  Shannon's ``_bits`` still reads them, and the
-oracles still form their own numerators: a faster exact cycle would push
-the benchmark's per-cycle samples past its peak-RSS bound (ROADMAP item 1).
+run the same code with ``D = 1``, so their folds keep their bits.
+Shannon's ``_bits`` reads the same raw totals as ``x / d``: int true
+division rounds correctly, so each block gives the double that
+``float(Fraction(x, d))`` gives, with no Fraction formed.  The typed sums
+(a Fraction or an int per block) are views of the raw totals, formed on
+first read, which only tests read.  The oracles still form their own
+numerators: summing them as integers too would speed the exact cycle past
+what the benchmark's per-cycle samples allow under its peak-RSS bound
+(ROADMAP item 1).
 
 The brute-force oracle, ``_region_table``, sums ``w w'`` over
 ordered pairs of cells into a 2x2 table indexed by which partitions
@@ -62,14 +66,14 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, compress, repeat
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import (BoundExceeded, IndexOutOfRange, InvalidDistribution, LengthMismatch, UniverseMismatch,
-                     _agree)
+                     _agree, _lazy)
 from .partitions import (
     DITSET_MATERIALIZE_BOUND,
     PairSet,
@@ -225,7 +229,7 @@ class ProbDist:
         object.__setattr__(self, "weights", w)
         return w
 
-    @cached_property
+    @_lazy
     def _arrays(self):
         """``_terms`` for :func:`product_measure`: numerators (int64 while ``d^2`` fits) or float
         weights none past 1 (so no product overflows), and the Fraction or np.float64 flags; or None."""
@@ -277,7 +281,7 @@ class JointDist:
             raise LengthMismatch("joint distribution rows have unequal length")
         self._flat  # validates the cells as one distribution
 
-    @cached_property
+    @_lazy
     def _flat(self) -> ProbDist:
         """The distribution on cells ``x * y_size + y``, built once, by validation."""
         return ProbDist(tuple(chain.from_iterable(self.weights)))
@@ -352,8 +356,11 @@ def _logical(totals, addends, differ: bool = True) -> Number:
     return form(D - x if differ else x)
 
 
-def _bits(values) -> float:
-    return _sum(-v * math.log2(v) if v > 0.0 else 0.0 for v in map(float, values))
+def _bits(values, d=None) -> float:
+    """``-sum v log2 v`` in bits over ``values`` as floats or, given ``d``, over exact raw totals
+    as ``x / d``: int true division rounds correctly, to the double ``float(Fraction(x, d))`` gives."""
+    values = map(float, values) if d is None else map(operator.truediv, values, repeat(d))
+    return _sum(-v * math.log2(v) if v > 0.0 else 0.0 for v in values)
 
 
 def _six(cls, h_a, h_b, h_joint, form=None):
@@ -528,7 +535,8 @@ class _Blocks:
     Passed in place of ``p`` to the two-partition profiles, it is reused,
     so a report sums each partition's blocks, the block-pair table and the
     join's blocks once.  Each pass keeps ``(keys, raw totals)``
-    (:func:`_raw`); the typed sums are views of them, formed on first read.
+    (:func:`_raw`), which the closed forms and Shannon's bits read; the
+    typed sums are views of them, formed on first read.
     """
 
     pi: Partition
@@ -543,29 +551,28 @@ class _Blocks:
     def _pass(self, keys, size: int) -> tuple:
         return keys, _sums(keys, size, _raw(self.p))
 
-    @cached_property
+    @_lazy
     def pi_raw(self) -> tuple:
         return self._pass(self.pi._block_of, self.pi.n_blocks)
 
-    @cached_property
+    @_lazy
     def sigma_raw(self) -> tuple:
         return self._pass(self.sigma._block_of, self.sigma.n_blocks)
 
-    @cached_property
+    @_lazy
     def table_raw(self) -> tuple:
         """The block-pair table of ``pi`` and ``sigma`` (:func:`_cells`)."""
         return self._pass(*_cells(self.pi._block_of, self.sigma._block_of, self.sigma.n_blocks))
 
-    @cached_property
+    @_lazy
     def join_raw(self) -> tuple:
         """The join's blocks, from their own pass rather than from the table."""
         j = join(self.pi, self.sigma)
         return self._pass(j._block_of, j.n_blocks)
 
-    pi_sums = cached_property(lambda self: _typed(*self.pi_raw, self.p._terms))
-    sigma_sums = cached_property(lambda self: _typed(*self.sigma_raw, self.p._terms))
-    table = cached_property(lambda self: _typed(*self.table_raw, self.p._terms))
-    join_sums = cached_property(lambda self: _typed(*self.join_raw, self.p._terms))
+    pi_sums = _lazy(lambda self: _typed(*self.pi_raw, self.p._terms))
+    sigma_sums = _lazy(lambda self: _typed(*self.sigma_raw, self.p._terms))
+    table = _lazy(lambda self: _typed(*self.table_raw, self.p._terms))
 
 
 def _blocks(pi: Partition, sigma: Partition, p: ProbDist | _Blocks, what: str) -> _Blocks:
@@ -584,10 +591,15 @@ def block_probabilities(pi: Partition, p: ProbDist) -> list:
     return _sums(pi._block_of, pi.n_blocks, p._terms)
 
 
+def _block_totals(pi: Partition, p: ProbDist) -> list:
+    """The raw block totals of ``pi`` under ``p`` (:func:`_raw`)."""
+    _check_dist(pi, p, "block probabilities")
+    return _sums(pi._block_of, pi.n_blocks, _raw(p))
+
+
 def _block_logical(pi: Partition, p: ProbDist, differ: bool = True) -> Number:
     """:func:`_logical` over the raw block totals of ``pi`` under ``p``."""
-    _check_dist(pi, p, "block probabilities")
-    return _logical(_sums(pi._block_of, pi.n_blocks, _raw(p)), p._terms, differ)
+    return _logical(_block_totals(pi, p), p._terms, differ)
 
 
 def logical_entropy(pi: Partition, p: ProbDist) -> Number:
@@ -663,7 +675,7 @@ def shannon_entropy(pi: Partition, p: ProbDist) -> float:
 
     Blocks of probability zero contribute zero.
     """
-    return _bits(block_probabilities(pi, p))
+    return _bits(_block_totals(pi, p), p._terms[1])
 
 
 def shannon_profile(pi: Partition, sigma: Partition, p: ProbDist | _Blocks) -> EntropyProfile:
@@ -674,7 +686,8 @@ def shannon_profile(pi: Partition, sigma: Partition, p: ProbDist | _Blocks) -> E
     be a ``_Blocks`` carrier, as in :func:`entropy_profile`.
     """
     c = _blocks(pi, sigma, p, "shannon profile")
-    return _six(EntropyProfile, _bits(c.pi_sums), _bits(c.sigma_sums), _bits(c.join_sums))
+    d = c.p._terms[1]
+    return _six(EntropyProfile, *(_bits(s, d) for _, s in (c.pi_raw, c.sigma_raw, c.join_raw)))
 
 
 def shannon_profile_from_transform(
@@ -690,7 +703,8 @@ def shannon_profile_from_transform(
     ``p`` may be a ``_Blocks`` carrier, as in :func:`entropy_profile`.
     """
     c = _blocks(pi, sigma, p, "shannon profile")
-    return _six(EntropyProfile, _bits(c.pi_sums), _bits(c.sigma_sums), _bits(c.table))
+    d = c.p._terms[1]
+    return _six(EntropyProfile, *(_bits(s, d) for _, s in (c.pi_raw, c.sigma_raw, c.table_raw)))
 
 
 def hamming_distance(pi: Partition, sigma: Partition, p: ProbDist) -> Number:

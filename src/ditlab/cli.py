@@ -320,8 +320,9 @@ def cmd_entropy(args) -> dict:
     if args.joint is None and sigma is None:
         h = classical.logical_entropy(pi, p)
         shannon = {"H_pi": classical.shannon_entropy(pi, p)} if args.shannon else {}
+        # Each range residual puts 0.0 last: max keeps a leading NaN, so a NaN entropy fails its check.
         return _report("entropy", inputs, {"h_pi": h, **shannon},
-                       [("unit_interval", max(0.0, float(-h), float(h - 1)), tol, ("h_pi",))])
+                       [("unit_interval", max(float(-h), float(h - 1), 0.0), tol, ("h_pi",))])
     if args.joint is not None:
         prof, distances = classical.twoset_profile(pi, sigma, joint), {}
     else:
@@ -437,7 +438,7 @@ def cmd_distance(args) -> dict:
         {"h_rho": h_rho, "h_tau": h_tau, "cross_entropy": cross, "hamming_distance": d, "hilbert_schmidt": hs},
         [("hamming_equals_hilbert_schmidt", d - hs, tol, ("hamming_distance", "hilbert_schmidt")),
          ("cross_entropy_symmetric", cross - quantum.quantum_cross_entropy(tau, rho), tol, ("cross_entropy",)),
-         ("nonnegative", max(0.0, -d), tol, ("hamming_distance",))],
+         ("nonnegative", max(-d, 0.0), tol, ("hamming_distance",))],
     )
 
 

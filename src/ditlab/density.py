@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +39,7 @@ from .errors import (
     NotPSD,
     TraceNotOne,
     ZeroProbabilityEvent,
+    _lazy,
 )
 from .partitions import Partition, _same_block, join
 
@@ -60,11 +60,11 @@ class _Density:
 
     m: np.ndarray
 
-    @cached_property
+    @_lazy
     def evals(self) -> np.ndarray:
         return np.linalg.eigvalsh((self.m + self.m.conj().T) / 2)
 
-    @cached_property
+    @_lazy
     def eigh(self) -> tuple:
         return np.linalg.eigh((self.m + self.m.conj().T) / 2)
 

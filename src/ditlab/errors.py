@@ -117,15 +117,45 @@ def _agree(what: str, a, b, exact: bool, tol: float) -> None:
 
     ``a`` and ``b`` are two profiles of one dataclass type, compared field by
     field, or two tuples, compared item by item.  Exact mode compares with
-    ``!=``; float mode fails unless ``abs(x - y) <= tol``, so NaN and
-    infinity never agree.  The message shows the two values unless either
-    has more digits than Python converts to text.
+    ``!=``, first the two value tuples in one comparison, then field by field
+    only if they differ; float mode fails unless ``abs(x - y) <= tol``, so NaN
+    and infinity never agree.  The message names the first field that differs
+    and shows the two values unless either has more digits than Python
+    converts to text.
     """
-    pairs = zip(enumerate(a), b) if isinstance(a, tuple) else zip(vars(a).items(), vars(b).values())
-    for (name, x), y in pairs:
+    if isinstance(a, tuple):
+        names = range(len(a))
+    else:
+        names, a, b = vars(a), tuple(vars(a).values()), tuple(vars(b).values())
+    if exact and a == b:
+        return
+    for name, x, y in zip(names, a, b):
         if (x != y) if exact else not abs(x - y) <= tol:
             try:
                 message = f"{what} disagree on {name}: {x!r} vs {y!r}"
             except ValueError:  # more digits than Python converts to text
                 message = f"{what} disagree on {name}"
             raise InternalInconsistency(message)
+
+
+class _lazy:
+    """A field computed from its instance on first read and kept in the instance ``__dict__``.
+
+    ``functools.cached_property`` without its lock: Python 3.10 and 3.11 take
+    an RLock on every first read, and the library's carriers are built per
+    call, so nearly every read is a first one.  As a non-data descriptor, it
+    is found again only while the instance holds no value under its name.
+    Read on the class, it is the descriptor itself.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value

@@ -29,7 +29,6 @@ import itertools
 import numbers
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -42,6 +41,7 @@ from .errors import (
     PartitionError,
     UncoveredElement,
     UniverseMismatch,
+    _lazy,
 )
 
 #: Largest universe for which ditsets are materialized as explicit pair sets.
@@ -197,7 +197,7 @@ class Partition:
     def same_block(self, a: int, b: int) -> bool:
         return self.block_containing(a) == self.block_containing(b)
 
-    @cached_property
+    @_lazy
     def n_blocks(self) -> int:
         return max(self._block_of) + 1
 

@@ -36,14 +36,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import classical, density
 from .classical import JointDist, ProbDist
-from .errors import BoundExceeded, DimensionMismatch, InvalidObservable, NotCommuting, _agree
+from .errors import BoundExceeded, DimensionMismatch, InvalidObservable, NotCommuting, _agree, _lazy
 from .partitions import PairSet, Partition, Universe, _grouped, ditset
 
 #: Tolerance used when grouping float eigenvalues into classes.
@@ -140,7 +139,7 @@ class Observable:
         """
         return self._classes
 
-    @cached_property
+    @_lazy
     def _classes(self) -> Partition:
         labels = self.eigenvalues
         if not classical._all_exact(labels):

@@ -212,6 +212,13 @@ def block_probabilities_loop(blocks, weights) -> list:
     return [functools.reduce(operator.add, (weights[x] for x in block), 0) for block in blocks]
 
 
+def bits_loop(blocks, weights) -> float:
+    """Reference for Shannon's ``_bits``: :func:`block_probabilities_loop` forms each block's sum,
+    a Fraction on exact weights, and ``-v log2 v`` over ``float(v)`` is added left to right from the int 0."""
+    values = map(float, block_probabilities_loop(blocks, weights))
+    return functools.reduce(operator.add, (-v * math.log2(v) if v > 0.0 else 0.0 for v in values), 0)
+
+
 def purity_loop(sums):
     """The squares of typed block sums added left to right from the int 0."""
     return functools.reduce(operator.add, (s * s for s in sums), 0)

@@ -171,6 +171,21 @@ def test_entropy_rejects_bad_distribution(tmp_path, parity_file):
     assert "invariant violation" in err
 
 
+def test_a_nan_range_residual_fails_its_check(tmp_path, parity_file, monkeypatch):
+    """A NaN weight still passes ``ProbDist``; its NaN entropy fails ``unit_interval``, and a NaN
+    distance fails ``nonnegative``, so neither report exits 0."""
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"kind": "dist", "weights": [NaN, 0.5, 0.5, 0, 0, 0]}')
+    code, out, err = run(["entropy", "--pi", parity_file, "--p", str(nan)])
+    assert code == 3 and "identity check failed: unit_interval" in err
+    assert out.endswith('"identities_checked":{"unit_interval":{"pass":false,"residual":nan}}}\n')
+
+    rho = write_doc(tmp_path, "rho.json", _density_doc(np.eye(2) / 2))
+    monkeypatch.setattr(quantum, "quantum_hamming", lambda rho, tau: float("nan"))
+    code, out, _ = run(["distance", "--rho", rho, "--tau", rho])
+    assert code == 3 and '"nonnegative":{"pass":false,"residual":nan}' in out
+
+
 def test_schema_errors_exit_two(tmp_path, parity_file):
     wrong_kind = write_doc(tmp_path, "w.json", {"kind": "dist", "weights": [1]})
     code, _, err = run(["entropy", "--pi", wrong_kind, "--p", wrong_kind])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -18,10 +19,10 @@ from hypothesis import strategies as st
 import helpers
 from ditlab import classical, cli, density, errors, logic, quantum
 from ditlab.classical import (
-    JointDist, ProbDist, block_probabilities, entropy_profile, twoset_profile,
+    EntropyProfile, JointDist, ProbDist, block_probabilities, entropy_profile, twoset_profile,
 )
 from ditlab.errors import InternalInconsistency
-from ditlab.partitions import PairSet, Universe, ditset, make_partition, top
+from ditlab.partitions import PairSet, Universe, ditset, join, make_partition, top
 from ditlab.quantum import Observable, measure, spectral_pair_bruteforce
 
 
@@ -589,6 +590,63 @@ def test_profiles_on_a_built_distribution_form_no_numerators(monkeypatch):
     assert numerators == []
 
 
+# ------------------------------------------------ Shannon bits from raw totals
+
+#: A common denominator past the float range, 3^700 > 2^1109.
+_HUGE_DENOMINATOR = 3 ** 700
+
+
+def _shannon_weights(kind, rng, n):
+    """``n`` weights of one ``kind``: int 0 and Fractions over one sum of counts below 2**40; a point
+    mass of ints; Fractions over ``_HUGE_DENOMINATOR``; ``Fraction(1, 10**400)``, whose float
+    underflows, beside its complement; or floats, or ``np.float64`` values, with zeros and subnormals."""
+    if kind in ("float", "numpy"):
+        return list(map(float if kind == "float" else np.float64, _float_weights(rng, n)))
+    w = [0] * n
+    if kind == "point":
+        w[int(rng.integers(n))] = 1
+    elif kind == "underflow":
+        i, j = rng.choice(n, 2, replace=False).tolist()
+        w[i], w[j] = Fraction(1, 10 ** 400), 1 - Fraction(1, 10 ** 400)
+    elif kind == "huge":
+        cuts = sorted(int(rng.integers(2 ** 62)) * _HUGE_DENOMINATOR // 2 ** 62 for _ in range(n - 1))
+        w = [Fraction(b - a, _HUGE_DENOMINATOR) for a, b in zip([0, *cuts], [*cuts, _HUGE_DENOMINATOR])]
+    else:
+        counts = rng.integers(0, 2 ** 40 // n if rng.random() < 0.7 else 12, n) * (rng.random(n) < 0.7)
+        counts[0] += not counts.any()
+        w = [Fraction(int(c), int(counts.sum())) if c else 0 for c in counts]
+    return w
+
+
+@st.composite
+def shannon_cases(draw):
+    """Two partitions of up to 60 points and weights of one kind."""
+    kind = draw(st.sampled_from(["mixed", "point", "huge", "underflow", "float", "numpy"]))
+    n = draw(st.integers(2 if kind in ("huge", "underflow") else 1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pi, sigma = (_partition(rng.integers(0, draw(st.integers(1, 8)), n).tolist()) for _ in range(2))
+    return kind, pi, sigma, _shannon_weights(kind, rng, n)
+
+
+@given(shannon_cases())
+@settings(max_examples=150, deadline=None)
+def test_shannon_fields_equal_the_float_of_each_typed_block_sum_bit_for_bit(case):
+    """``x / d`` on a raw total rounds to the double that ``float(Fraction(x, d))`` rounds to."""
+    kind, pi, sigma, weights = case
+    p = ProbDist(tuple(weights))
+    if kind in ("huge", "underflow"):
+        assert p._terms[1] > 2 ** 1024 and max(p._terms[0]) > 2 ** 1024
+    ids = [i * sigma.n_blocks + j for i, j in zip(pi._block_of, sigma._block_of)]
+    cells = [g for g in _groups(ids, pi.n_blocks * sigma.n_blocks) if g]
+    h_pi, h_sigma = helpers.bits_loop(pi.blocks, weights), helpers.bits_loop(sigma.blocks, weights)
+    got = [*astuple(classical.shannon_profile(pi, sigma, p)),
+           *astuple(classical.shannon_profile_from_transform(pi, sigma, p)), classical.shannon_entropy(pi, p)]
+    want = [*astuple(classical._six(EntropyProfile, h_pi, h_sigma,
+                                    helpers.bits_loop(join(pi, sigma).blocks, weights))),
+            *astuple(classical._six(EntropyProfile, h_pi, h_sigma, helpers.bits_loop(cells, weights))), h_pi]
+    assert all(map(_same, got, want)), (got, want)
+
+
 # ------------------------------------------------ closed forms on integer numerators
 
 #: A prime common denominator whose square is past int64.
@@ -1126,6 +1184,30 @@ def test_compare_names_values_too_long_to_print_without_them():
         errors._agree("check", (f,), (2 * f,), True, 0)
     with pytest.raises(InternalInconsistency, match=r"^check disagree on 0: Fraction\(1, 3\) vs 0\.5$"):
         errors._agree("check", (Fraction(1, 3),), (0.5,), False, 1e-12)
+
+
+def test_exact_compare_names_the_first_field_that_differs():
+    a = EntropyProfile(*map(Fraction, range(6)))
+    errors._agree("check", a, EntropyProfile(*map(Fraction, range(6))), True, 0)
+    b = dataclasses.replace(a, h_pi_given_sigma=Fraction(7, 2), mutual=Fraction(9))
+    with pytest.raises(InternalInconsistency, match=r"^check disagree on h_pi_given_sigma: Fraction\(3, 1\) vs "):
+        errors._agree("check", a, b, True, 0)
+    with pytest.raises(InternalInconsistency, match=r"^check disagree on 1: 2 vs 3$"):
+        errors._agree("check", (1, 2, 4), (1, 3, 5), True, 0)
+
+
+def test_a_lazy_field_is_computed_once_and_kept_on_its_instance(monkeypatch):
+    rng = np.random.default_rng(5)
+    pi, sigma = helpers.random_partition(rng, 6), helpers.random_partition(rng, 6)
+    c = classical._blocks(pi, sigma, helpers.rational_dist(rng, 6), "carrier")
+    assert isinstance(classical._Blocks.pi_raw, errors._lazy) and "pi_raw" not in vars(c)
+    sums = helpers.count_calls(monkeypatch, classical, "_sums")
+    first = c.pi_raw
+    assert c.pi_raw is first and vars(c)["pi_raw"] is first and len(sums) == 1
+    for name in ("p", "pi_raw", "table"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, None)
+    assert c.pi_raw is first
 
 
 def test_a_wrong_closed_form_on_a_long_denominator_exits_three(monkeypatch, tmp_path):

@@ -13,9 +13,9 @@ universes of at most 3 points under a small work limit.
 bools and ``None``, but never NaN or Infinity, and on ``joint`` documents
 with such cells, ragged or missing rows, cells nested too deep and odd
 sizes.  A NaN weight still passes ``ProbDist``, so ``ditlab entropy``
-prints ``"h_pi":nan`` and exits 0.  That defect stays until it is fixed
-together with the benchmark, whose ``cli_reports`` workload counts the
-NaN-weight operation as its known failure.
+prints ``"h_pi":nan``; its ``unit_interval`` check fails on the NaN, so it
+exits 3.  Refusing NaN in ``ProbDist`` waits for the benchmark, whose
+``cli_reports`` workload counts the NaN-weight operation as its known failure.
 """
 
 from __future__ import annotations
