@@ -35,9 +35,9 @@ integers, and form one Fraction (or int) per printed field; float weights
 run the same code with ``D = 1``, so their folds keep their bits.
 Shannon's ``_bits`` reads the same raw totals as ``x / d``: int true
 division rounds correctly, so each block gives the double that
-``float(Fraction(x, d))`` gives, with no Fraction formed.  The typed sums
-(a Fraction or an int per block) are views of the raw totals, formed on
-first read, which only tests read.  The oracles still form their own
+``float(Fraction(x, d))`` gives, with no Fraction formed.  Only
+:func:`block_probabilities` types the raw totals, a Fraction or an int per
+block (``_typed``).  The oracles still form their own
 numerators: summing them as integers too would speed the exact cycle past
 what the benchmark's per-cycle samples allow under its peak-RSS bound
 (ROADMAP item 1).
@@ -348,12 +348,10 @@ def _scale(addends) -> tuple:
     return D, (lambda x: Fraction(x, D)) if any(fractions) else (lambda x: x // D)
 
 
-def _logical(totals, addends, differ: bool = True) -> Number:
-    """``1 - sum s^2``, or ``sum s^2`` unless ``differ``, over the raw totals ``s`` of ``addends``,
-    formed once (:func:`_scale`): two draws land in different blocks, or in one."""
+def _logical(totals, addends) -> Number:
+    """``1 - sum s^2`` over the raw totals ``s`` of ``addends``, formed once (:func:`_scale`)."""
     D, form = _scale(addends)
-    x = _purity(totals)
-    return form(D - x if differ else x)
+    return form(D - _purity(totals))
 
 
 def _bits(values, d=None) -> float:
@@ -377,19 +375,18 @@ def _closed(cls, addends, *totals):
     return _six(cls, *(D - _purity(s) for s in totals), form=form)
 
 
-def _sums(keys, size: int, addends) -> list:
-    """Total weight of each key in ``range(size)``, in one pass: ``s[keys[x]] += w[x]``.
+def _sums(keys, size: int, values) -> list:
+    """Raw total of each key in ``range(size)``, in one pass: ``s[keys[x]] += values[x]``.
 
-    Each key's weights are added left to right in index order, as
-    :func:`_sum` adds them over the key's ascending points, so float totals
-    are its totals to the bit.  Exact totals are integer numerators over
-    ``d``, typed by :func:`_typed`; with ``d`` None they are returned raw.
+    ``values`` are ``ProbDist._terms[0]``: exact weights' integer numerators
+    over ``d``, or floats.  Each key's values are added left to right in
+    index order, as :func:`_sum` adds them over the key's ascending points,
+    so float totals are its totals to the bit.
     """
-    values, d, _ = addends
     s = [0] * size
     for k, x in zip(keys, values):
         s[k] += x
-    return s if d is None else _typed(keys, s, addends)
+    return s
 
 
 def _typed(keys, totals: list, addends) -> list:
@@ -400,11 +397,6 @@ def _typed(keys, totals: list, addends) -> list:
         return totals
     hit = set(compress(keys, fractions))
     return [Fraction(x, d) if k in hit else x // d for k, x in enumerate(totals)]
-
-
-def _raw(p: ProbDist) -> tuple:
-    """The addends of ``p`` for raw totals: exact weights' integer numerators over d, or floats."""
-    return p._terms[0], None, None
 
 
 def _cells(ids_a, ids_b, n_b: int) -> tuple:
@@ -530,13 +522,12 @@ def _route(what: str, method: str, closed, oracle, small: bool, tol=FLOAT_TOL):
 
 @dataclass(frozen=True, eq=False)
 class _Blocks:
-    """Two partitions of one universe under ``p``, and their block sums on first use.
+    """Two partitions of one universe under ``p``, and their raw block totals on first use.
 
     Passed in place of ``p`` to the two-partition profiles, it is reused,
     so a report sums each partition's blocks, the block-pair table and the
-    join's blocks once.  Each pass keeps ``(keys, raw totals)``
-    (:func:`_raw`), which the closed forms and Shannon's bits read; the
-    typed sums are views of them, formed on first read.
+    join's blocks once, each in one :func:`_sums` pass.  The closed forms
+    and Shannon's bits read these raw totals; nothing types them.
     """
 
     pi: Partition
@@ -548,31 +539,24 @@ class _Blocks:
         """The weights of ``p``; ``bench/tracing.py`` reads them off a carrier it is passed."""
         return self.p.weights
 
-    def _pass(self, keys, size: int) -> tuple:
-        return keys, _sums(keys, size, _raw(self.p))
+    @_lazy
+    def pi_raw(self) -> list:
+        return _sums(self.pi._block_of, self.pi.n_blocks, self.p._terms[0])
 
     @_lazy
-    def pi_raw(self) -> tuple:
-        return self._pass(self.pi._block_of, self.pi.n_blocks)
+    def sigma_raw(self) -> list:
+        return _sums(self.sigma._block_of, self.sigma.n_blocks, self.p._terms[0])
 
     @_lazy
-    def sigma_raw(self) -> tuple:
-        return self._pass(self.sigma._block_of, self.sigma.n_blocks)
-
-    @_lazy
-    def table_raw(self) -> tuple:
+    def table_raw(self) -> list:
         """The block-pair table of ``pi`` and ``sigma`` (:func:`_cells`)."""
-        return self._pass(*_cells(self.pi._block_of, self.sigma._block_of, self.sigma.n_blocks))
+        return _sums(*_cells(self.pi._block_of, self.sigma._block_of, self.sigma.n_blocks), self.p._terms[0])
 
     @_lazy
-    def join_raw(self) -> tuple:
+    def join_raw(self) -> list:
         """The join's blocks, from their own pass rather than from the table."""
         j = join(self.pi, self.sigma)
-        return self._pass(j._block_of, j.n_blocks)
-
-    pi_sums = _lazy(lambda self: _typed(*self.pi_raw, self.p._terms))
-    sigma_sums = _lazy(lambda self: _typed(*self.sigma_raw, self.p._terms))
-    table = _lazy(lambda self: _typed(*self.table_raw, self.p._terms))
+        return _sums(j._block_of, j.n_blocks, self.p._terms[0])
 
 
 def _blocks(pi: Partition, sigma: Partition, p: ProbDist | _Blocks, what: str) -> _Blocks:
@@ -587,24 +571,18 @@ def _blocks(pi: Partition, sigma: Partition, p: ProbDist | _Blocks, what: str) -
 
 def block_probabilities(pi: Partition, p: ProbDist) -> list:
     """Pr(B) for each block of ``pi``, in canonical block order."""
-    _check_dist(pi, p, "block probabilities")
-    return _sums(pi._block_of, pi.n_blocks, p._terms)
+    return _typed(pi._block_of, _block_totals(pi, p), p._terms)
 
 
 def _block_totals(pi: Partition, p: ProbDist) -> list:
-    """The raw block totals of ``pi`` under ``p`` (:func:`_raw`)."""
+    """The raw block totals of ``pi`` under ``p`` (:func:`_sums`)."""
     _check_dist(pi, p, "block probabilities")
-    return _sums(pi._block_of, pi.n_blocks, _raw(p))
-
-
-def _block_logical(pi: Partition, p: ProbDist, differ: bool = True) -> Number:
-    """:func:`_logical` over the raw block totals of ``pi`` under ``p``."""
-    return _logical(_block_totals(pi, p), p._terms, differ)
+    return _sums(pi._block_of, pi.n_blocks, p._terms[0])
 
 
 def logical_entropy(pi: Partition, p: ProbDist) -> Number:
     """Two-draw distinction probability ``1 - sum_B Pr(B)^2``."""
-    return _block_logical(pi, p)
+    return _logical(_block_totals(pi, p), p._terms)
 
 
 def product_measure(region: PairSet, p: ProbDist) -> Number:
@@ -665,7 +643,7 @@ def entropy_profile(
 
     return _route(
         "entropy profile", method,
-        lambda: _closed(EntropyProfile, c.p._terms, c.pi_raw[1], c.sigma_raw[1], c.table_raw[1]),
+        lambda: _closed(EntropyProfile, c.p._terms, c.pi_raw, c.sigma_raw, c.table_raw),
         regions, c.pi.universe.size <= DITSET_MATERIALIZE_BOUND,
     )
 
@@ -687,7 +665,7 @@ def shannon_profile(pi: Partition, sigma: Partition, p: ProbDist | _Blocks) -> E
     """
     c = _blocks(pi, sigma, p, "shannon profile")
     d = c.p._terms[1]
-    return _six(EntropyProfile, *(_bits(s, d) for _, s in (c.pi_raw, c.sigma_raw, c.join_raw)))
+    return _six(EntropyProfile, *(_bits(s, d) for s in (c.pi_raw, c.sigma_raw, c.join_raw)))
 
 
 def shannon_profile_from_transform(
@@ -704,7 +682,7 @@ def shannon_profile_from_transform(
     """
     c = _blocks(pi, sigma, p, "shannon profile")
     d = c.p._terms[1]
-    return _six(EntropyProfile, *(_bits(s, d) for _, s in (c.pi_raw, c.sigma_raw, c.table_raw)))
+    return _six(EntropyProfile, *(_bits(s, d) for s in (c.pi_raw, c.sigma_raw, c.table_raw)))
 
 
 def hamming_distance(pi: Partition, sigma: Partition, p: ProbDist) -> Number:
@@ -762,7 +740,7 @@ def twoset_profile(
 
     def closed():
         n_b = sigma.n_blocks
-        q = _sums(*_cells(ids_a, ids_b, n_b), _raw(p))
+        q = _sums(*_cells(ids_a, ids_b, n_b), p._terms[0])
         # Row and column sums of the table, not per-point sums: the two round floats differently.
         qa = [_sum(q[r:r + n_b]) for r in range(0, len(q), n_b)]
         qb = [_sum(q[j::n_b]) for j in range(n_b)]

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import Number, ProbDist, _bits, _block_logical
+from .classical import Number, ProbDist, _bits, _purity, block_probabilities
 from .errors import (
     DimensionMismatch,
     InvalidDensityMatrix,
@@ -124,7 +124,10 @@ def _pair(rho, tau) -> tuple:
 
 def validate_state(vec) -> np.ndarray:
     """Check that a vector is finite with unit norm within ``DENSITY_TOL``; returns complex128."""
-    v = np.asarray(vec).astype(np.complex128, copy=False).reshape(-1)
+    v = np.asarray(vec)
+    if v.ndim != 1:
+        raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
+    v = v.astype(np.complex128, copy=False)
     with np.errstate(over="ignore"):  # a huge amplitude makes the norm inf, rejected below
         norm_sq = float(np.sum(np.abs(v) ** 2))
     if not abs(norm_sq - 1) <= DENSITY_TOL:  # a NaN amplitude makes the norm NaN
@@ -316,7 +319,7 @@ class ClassicalDensity:
 
     def purity(self) -> Number:
         """``tr[rho^2] = sum_B Pr(B)^2``, exact for rational weights."""
-        return _block_logical(self.partition, self.dist, differ=False)
+        return _purity(block_probabilities(self.partition, self.dist))
 
     def logical_entropy(self) -> Number:
         return 1 - self.purity()

@@ -160,10 +160,9 @@ def _pairset(u: Universe, pairs) -> PairSet:
 class Partition:
     """A set partition, stored as its canonical code ``_block_of``, which ``==`` and ``hash`` read.
 
-    The canonical ``blocks`` are derived from the code on first read.  Construct
-    through :func:`make_partition`, which validates raw block lists, or the
-    algebra operations below; the constructor keeps only the code of its
-    blocks, and assumes that they partition the universe.
+    The canonical ``blocks`` are derived from the code on first read.  The
+    constructor validates its blocks as :func:`make_partition` does, raising
+    the same errors, and keeps only their code.
     """
 
     universe: Universe
@@ -171,11 +170,7 @@ class Partition:
     _block_of: tuple = field(init=False)
 
     def __post_init__(self):
-        ids = [-1] * self.universe.size
-        for i, block in enumerate(self.blocks):
-            for x in block:
-                ids[x] = i
-        object.__setattr__(self, "_block_of", _renumber(ids))
+        object.__setattr__(self, "_block_of", make_partition(self.universe, self.blocks)._block_of)
         del self.__dict__["blocks"]
 
     def __getattr__(self, name):

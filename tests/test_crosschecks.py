@@ -472,7 +472,10 @@ def _table_loop(pi, sigma, weights):
 
 def _sums_and_loops(pi, sigma, weights):
     c = classical._blocks(pi, sigma, ProbDist(tuple(weights)), "block sums")
-    got = [c.pi_sums, c.sigma_sums, c.table, block_probabilities(pi, c.p)]
+    cells = classical._cells(pi._block_of, sigma._block_of, sigma.n_blocks)[0]
+    got = [classical._typed(keys, raw, c.p._terms) for keys, raw in
+           ((pi._block_of, c.pi_raw), (sigma._block_of, c.sigma_raw), (cells, c.table_raw))]
+    got.append(block_probabilities(pi, c.p))
     want = [helpers.block_probabilities_loop(pi.blocks, weights),
             helpers.block_probabilities_loop(sigma.blocks, weights),
             _table_loop(pi, sigma, weights),
@@ -500,7 +503,9 @@ def test_block_pair_table_holds_the_occupied_cells_only():
     """All-singleton partitions of 2000 points occupy 2000 of the 4 000 000 block pairs."""
     n = 2000
     c = classical._blocks(top(n), top(n), ProbDist((1.0 / n,) * n), "block sums")
-    assert len(c.table) == n and c.table == c.pi_sums
+    keys = classical._cells(c.pi._block_of, c.sigma._block_of, n)[0]
+    table = classical._typed(keys, c.table_raw, c.p._terms)
+    assert len(table) == n and table == classical._typed(c.pi._block_of, c.pi_raw, c.p._terms)
 
 
 @st.composite
@@ -521,8 +526,9 @@ def exact_keyed_weights(draw):
 def test_sums_equal_the_loop_on_mixed_int_and_fraction_weights(case):
     """Keys holding only ints total to ints, empty keys to the int 0, the rest to Fractions."""
     ids, size, weights = case
-    got = classical._sums(ids, size, (*classical._numerators(weights),
-                                      [isinstance(x, Fraction) for x in weights]))
+    values, d = classical._numerators(weights)
+    got = classical._typed(ids, classical._sums(ids, size, values),
+                           (values, d, [isinstance(x, Fraction) for x in weights]))
     want = helpers.block_probabilities_loop(_groups(ids, size), weights)
     assert got == want and list(map(type, got)) == list(map(type, want))
 
@@ -531,7 +537,8 @@ def test_sums_past_int64_stay_exact():
     weights = [Fraction(1, 2 ** 32 + 1), Fraction(1, 2 ** 32 + 3), 2, 0]
     values, d = classical._numerators(weights)
     assert d * d >= 2 ** 63
-    got = classical._sums([0, 0, 1, 1], 3, (values, d, [True, True, False, False]))
+    keys = [0, 0, 1, 1]
+    got = classical._typed(keys, classical._sums(keys, 3, values), (values, d, [True, True, False, False]))
     assert got == [weights[0] + weights[1], 2, 0]
     assert list(map(type, got)) == [Fraction, int, int]
 

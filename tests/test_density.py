@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,7 @@ from ditlab.errors import (
     ZeroProbabilityEvent,
 )
 from ditlab.partitions import bottom, inditset, make_partition, top
-from ditlab.quantum import density_pair_profile
+from ditlab.quantum import Observable, density_pair_profile, h_observable_state
 
 F = Fraction
 
@@ -88,6 +89,14 @@ def test_validate_state():
     validate_state(np.full(4, 0.5))
     with pytest.raises(InvalidStateVector):
         validate_state(np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("vec", [np.eye(2) / np.sqrt(2), np.array([[1.0], [0.0], [0.0], [0.0]]), np.array(1.0)])
+def test_validate_state_refuses_arrays_that_are_not_vectors(vec):
+    """A unit-norm matrix, column or scalar is not a state, even where its flattening would be one."""
+    for check in (lambda: validate_state(vec), lambda: h_observable_state(Observable((0, 1, 0, 1)), vec)):
+        with pytest.raises(DimensionMismatch, match=rf"^expected a vector, got shape {re.escape(str(vec.shape))}$"):
+            check()
 
 
 # ------------------------------------------------------------ rho_event

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -71,6 +71,44 @@ def test_make_partition_errors():
         make_partition(3, [[0, 1, -1]])
     with pytest.raises(PartitionError):
         Universe(0)
+
+
+#: Block elements of every kind: in and out of range, bools and floats.
+_ELEMENTS = st.one_of(st.integers(-1, 7), st.booleans(), st.sampled_from([0.0, 1.0, 2.5]))
+
+
+@st.composite
+def block_lists(draw):
+    """A universe size and blocks that partition it, in any order, or arbitrary blocks of any elements."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        groups: dict = {}
+        for x, label in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))):
+            groups.setdefault(label, []).append(x)
+        return n, draw(st.permutations(list(groups.values())))
+    return n, draw(st.lists(st.lists(_ELEMENTS, max_size=4), max_size=4))
+
+
+@example((3, [[0], [1]]))
+@example((3, [[0, 1], [1, 2]]))
+@example((3, [[0, 5]]))
+@given(block_lists())
+@settings(max_examples=300)
+def test_the_constructor_validates_blocks_as_make_partition_does(case):
+    """Both give the same partition, or raise the same exception class with the same message."""
+    n, blocks = case
+
+    def outcome(build):
+        try:
+            return build()
+        except Exception as e:
+            return type(e), str(e)
+
+    got = outcome(lambda: Partition(Universe(n), tuple(map(tuple, blocks))))
+    want = outcome(lambda: make_partition(n, blocks))
+    assert got == want
+    if isinstance(want, Partition):
+        assert got.blocks == want.blocks
 
 
 def test_uncovered_elements_are_counted_not_listed():
