@@ -162,9 +162,9 @@ class ProbDist:
     nonnegative and sum to one (exactly in the exact backend, within
     ``FLOAT_TOL`` otherwise).
 
-    Validation forms ``_terms``, what every sum reads.  A distribution
-    loaded from ``"a/b"`` strings is built from their ints by
-    :meth:`_from_ratios`, which forms its Fraction ``weights`` on their
+    Validation forms ``_terms``, what every sum reads.  A distribution loaded
+    from ``"a/b"`` strings is built from their ints by :meth:`_from_ratios` and
+    keeps only ``_terms``, from which its Fraction ``weights`` are formed on
     first read; one built from its weights has them from the start.
     """
 
@@ -207,27 +207,23 @@ class ProbDist:
     def _from_ratios(cls, numerators: list, denominators: list) -> "ProbDist":
         """``ProbDist(tuple(map(Fraction, numerators, denominators)))``, built from the ints.
 
-        For nonnegative numerators over positive denominators.  ``_terms``
-        and every check are those of that call; ``weights`` is formed from
-        the reduced ints when it is first read.
+        For at least one nonnegative numerator over positive denominators.
+        ``_terms`` and every check are those of that call, and ``_terms`` is
+        all it keeps: ``weights`` is formed from it when first read.
         """
-        if not numerators:
-            raise InvalidDistribution("a distribution needs at least one weight")
         g = list(map(math.gcd, numerators, denominators))
-        ratios = list(map(operator.floordiv, numerators, g)), list(map(operator.floordiv, denominators, g))
         p = object.__new__(cls)
-        object.__setattr__(p, "_ratios", ratios)
-        p._keep((*_numerators(*ratios), [True] * len(g)))
+        p._keep((*_numerators(list(map(operator.floordiv, numerators, g)),
+                              list(map(operator.floordiv, denominators, g))), [True] * len(g)))
         return p
 
     def __getattr__(self, name):
-        """The Fraction ``weights`` of a distribution built by :meth:`_from_ratios`, formed once."""
-        ratios = self.__dict__.get("_ratios")
-        if name != "weights" or ratios is None:
+        """The Fraction ``weights`` of a distribution built by :meth:`_from_ratios`, formed once
+        from ``_terms``: ``Fraction(x, d)`` per numerator ``x``, its reduced ratio."""
+        if name != "weights" or "_terms" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        w = tuple(map(Fraction, *ratios))
-        object.__setattr__(self, "weights", w)
-        return w
+        object.__setattr__(self, "weights", tuple(map(Fraction, self._terms[0], repeat(self._terms[1]))))
+        return self.weights
 
     @_lazy
     def _arrays(self):

@@ -54,13 +54,15 @@ ENUMERATION_BOUND = 9
 
 @dataclass(frozen=True)
 class Universe:
-    """The finite carrier set ``{0, ..., size-1}``."""
+    """The finite carrier set ``{0, ..., size-1}``; a size of any integer type but bool is kept as an int."""
 
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 1:
-            raise PartitionError(f"universe size must be an integer >= 1, got {self.size!r}")
+        n = self.size
+        if not (type(n) is int or isinstance(n, numbers.Integral) and not isinstance(n, bool)) or n < 1:
+            raise PartitionError(f"universe size must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "size", int(n))
 
     def elements(self) -> range:
         return range(self.size)
@@ -89,14 +91,15 @@ def _is_element(x, n: int) -> bool:
 
 @dataclass(frozen=True)
 class PairSet:
-    """A set of ordered pairs of universe elements, e.g. a ditset.  The public constructor keeps
-    a checked frozenset ``pairs``; a set the library builds keeps its n x n boolean indicator
-    (entry ``[a, b]`` for pair ``(a, b)``) and forms ``pairs`` when they are first read."""
+    """A set of ordered pairs of universe elements, e.g. a ditset.  The constructor takes a ``Universe``
+    or its size and keeps a checked frozenset ``pairs``; a set the library builds keeps its n x n boolean
+    indicator (entry ``[a, b]`` for pair ``(a, b)``) and forms ``pairs`` when they are first read."""
 
     universe: Universe
     pairs: frozenset
 
     def __post_init__(self):
+        object.__setattr__(self, "universe", _as_universe(self.universe))
         pairs = list(self.pairs)
         n = self.universe.size
         for pair in pairs:  # before hashing, so an unhashable member is refused like any other
@@ -160,9 +163,9 @@ def _pairset(u: Universe, pairs) -> PairSet:
 class Partition:
     """A set partition, stored as its canonical code ``_block_of``, which ``==`` and ``hash`` read.
 
-    The canonical ``blocks`` are derived from the code on first read.  The
-    constructor validates its blocks as :func:`make_partition` does, raising
-    the same errors, and keeps only their code.
+    The canonical ``blocks`` are derived from the code on first read.  The constructor
+    takes a ``Universe`` or its size, validates its blocks as :func:`make_partition`
+    does, raising the same errors, and keeps what that call keeps: ``Universe`` and code.
     """
 
     universe: Universe
@@ -170,8 +173,7 @@ class Partition:
     _block_of: tuple = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_block_of", make_partition(self.universe, self.blocks)._block_of)
-        del self.__dict__["blocks"]
+        self.__dict__.update(vars(make_partition(self.universe, self.__dict__.pop("blocks"))))
 
     def __getattr__(self, name):
         """The canonical ``blocks``, formed from the code once, when first read."""

@@ -298,16 +298,17 @@ def _dim(F: Observable, G: Observable) -> int:
 
 
 def _joint_eigenbasis(F: Observable, G: Observable):
-    """Shared basis and per-column eigenvalue lists for commuting observables.
+    """Shared basis and the eigenvalue partitions of its columns for commuting observables.
 
-    Prefers an explicitly shared eigenbasis.  Otherwise checks the
-    commutator and rotates within each eigenspace of ``F`` to diagonalize
-    ``G`` there; raises :class:`NotCommuting` when that cannot work.
+    Prefers an explicitly shared eigenbasis, with ``F``'s and ``G``'s own
+    partitions.  Otherwise checks the commutator and rotates within each
+    eigenspace of ``F`` to diagonalize ``G`` there, so the columns run block by
+    block of ``F``; raises :class:`NotCommuting` when that cannot work.
     """
-    _dim(F, G)
+    n = _dim(F, G)
     uf, ug = F.basis_matrix(), G.basis_matrix()
     if np.allclose(uf, ug, atol=classical.FLOAT_TOL, rtol=0.0):
-        return uf, list(F.eigenvalues), list(G.eigenvalues)
+        return uf, F.eigenvalue_partition(), G.eigenvalue_partition()
 
     fm, gm = F.matrix(), G.matrix()
     with np.errstate(over="ignore", invalid="ignore"):  # huge eigenvalues leave a NaN: refused
@@ -317,17 +318,16 @@ def _joint_eigenbasis(F: Observable, G: Observable):
             f"max |FG - GF| = {comm:.3e} exceeds {COMMUTATION_TOL}; "
             "supply a shared eigenbasis or commuting observables"
         )
-    part = F.eigenvalue_partition()
     cols = []
-    f_vals: list = []
+    f_ids: list = []
     g_vals: list = []
-    for block in part.blocks:
+    for i, block in enumerate(F.eigenvalue_partition().blocks):
         ub = uf[:, list(block)]
         sub = ub.conj().T @ gm @ ub
         sub = (sub + sub.conj().T) / 2
         vals, rot = np.linalg.eigh(sub)
         cols.append(ub @ rot)
-        f_vals.extend([F.eigenvalues[block[0]]] * len(block))
+        f_ids.extend([i] * len(block))
         g_vals.extend(float(v) for v in vals)
     basis = np.hstack(cols)
     gap = float(np.max(np.abs(basis.conj().T @ gm @ basis - np.diag(g_vals))))
@@ -335,7 +335,7 @@ def _joint_eigenbasis(F: Observable, G: Observable):
         raise NotCommuting(
             f"joint diagonalization failed: residual off-diagonal {gap:.3e}"
         )
-    return basis, f_vals, g_vals
+    return basis, _grouped(Universe(n), f_ids), Observable(tuple(g_vals)).eigenvalue_partition()
 
 
 def commuting_profile(F: Observable, G: Observable, psi) -> QuantumProfile:
@@ -345,11 +345,9 @@ def commuting_profile(F: Observable, G: Observable, psi) -> QuantumProfile:
     profile is exactly the classical one of the two eigenvalue partitions
     under the shared outcome distribution.
     """
-    basis, f_vals, g_vals = _joint_eigenbasis(F, G)
+    basis, pi_f, pi_g = _joint_eigenbasis(F, G)
     v = _state(psi, F.dim)
     p = np.abs(basis.conj().T @ v) ** 2
-    pi_f = Observable(tuple(f_vals)).eigenvalue_partition()
-    pi_g = Observable(tuple(g_vals)).eigenvalue_partition()
     dist = ProbDist(tuple(float(x) for x in p / p.sum()))
     return _profile_from_classical(classical.entropy_profile(pi_f, pi_g, dist))
 
@@ -529,7 +527,8 @@ def quantum_cross_entropy(rho, tau) -> float:
 def hilbert_schmidt_distance(rho, tau) -> float:
     """``tr[(rho - tau)^2]``, the squared Hilbert-Schmidt norm of the gap."""
     r, t = density._pair(rho, tau)
-    return density._trace_product(r.m - t.m, r.m - t.m)
+    gap = r.m - t.m
+    return density._trace_product(gap, gap)
 
 
 def quantum_hamming(rho, tau) -> float:

@@ -779,6 +779,7 @@ def test_a_loaded_exact_distribution_behaves_as_one_built_from_its_weights(tmp_p
     def loaded():
         p = cli._load_dist(path)[0]
         assert "weights" not in p.__dict__ and p._terms == built._terms and p.size == 4
+        assert set(p.__dict__) == {"_terms"}
         return p
 
     assert loaded() == built and built == loaded() and hash(loaded()) == hash(built)

@@ -105,10 +105,22 @@ def test_the_constructor_validates_blocks_as_make_partition_does(case):
             return type(e), str(e)
 
     got = outcome(lambda: Partition(Universe(n), tuple(map(tuple, blocks))))
+    sized = outcome(lambda: Partition(n, tuple(map(tuple, blocks))))
     want = outcome(lambda: make_partition(n, blocks))
-    assert got == want
+    assert got == want and sized == want
     if isinstance(want, Partition):
         assert got.blocks == want.blocks
+        assert sized.universe == Universe(n) and hash(sized) == hash(want) and repr(sized) == repr(want)
+
+
+def test_a_universe_size_may_be_a_numpy_integer_and_is_kept_as_an_int():
+    u = Universe(np.int64(3))
+    assert u == Universe(3) and type(u.size) is int and hash(u) == hash(Universe(3))
+    assert top(np.int64(3)) == top(3) and make_partition(np.uint8(3), [[0, 1], [2]]) == make_partition(3, [[0, 1], [2]])
+    for bad in (0, True, np.True_, 3.0, "3"):
+        with pytest.raises(PartitionError) as err:
+            Universe(bad)
+        assert str(err.value) == f"universe size must be an integer >= 1, got {bad!r}"
 
 
 def test_uncovered_elements_are_counted_not_listed():
@@ -286,6 +298,7 @@ def test_pairset_accepts_numpy_integers():
     pairs = PairSet(Universe(3), {(np.int64(0), np.uint8(2)), (2, np.int32(1))})
     assert pairs == PairSet(Universe(3), {(0, 2), (2, 1)})
     assert repr(pairs) == repr(PairSet(Universe(3), {(0, 2), (2, 1)}))
+    assert PairSet(3, {(0, 2), (2, 1)}) == PairSet(Universe(3), {(0, 2), (2, 1)})
 
 
 def test_a_pair_set_from_the_constructor_prints_as_its_sorted_twin():

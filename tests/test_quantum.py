@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import helpers
+from ditlab import quantum
 from ditlab.classical import ProbDist, dist_cross_entropy, dist_entropy
 from ditlab.density import rho_partition, state_density
 from ditlab.errors import (
@@ -226,6 +227,26 @@ def test_commuting_profile_joint_diagonalization():
         assert prof_matrix.mutual == pytest.approx(prof_direct.mutual, abs=1e-8)
 
 
+def test_the_commuting_reduction_reuses_the_class_partitions(monkeypatch):
+    """A shared basis hands over F's and G's own partitions and builds no Observable; a rotated
+    basis builds one, to group G's values on its columns, whose classes the diagonals give."""
+    built = []
+    real = Observable.__post_init__
+    monkeypatch.setattr(Observable, "__post_init__", lambda self: built.append(self) or real(self))
+    f, g = Observable((1, 1, 0, 0)), Observable((1, 0, 1, 0))
+    built.clear()
+    _, pi_f, pi_g = quantum._joint_eigenbasis(f, g)
+    commuting_profile(f, g, np.full(4, 0.5))
+    assert pi_f is f.eigenvalue_partition() and pi_g is g.eigenvalue_partition() and built == []
+    fm, gm = Observable.from_matrix(f.matrix()), Observable.from_matrix(g.matrix())
+    built.clear()
+    basis, pi_f, pi_g = quantum._joint_eigenbasis(fm, gm)
+    assert len(built) == 1
+    for obs, part in ((fm, pi_f), (gm, pi_g)):
+        diagonal = np.real(np.diag(basis.conj().T @ obs.matrix() @ basis))
+        assert part == Observable(tuple(diagonal.tolist())).eigenvalue_partition()
+
+
 def test_commuting_profile_rejects_noncommuting():
     x = Observable.from_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
     z = Observable((1, -1))
@@ -320,6 +341,20 @@ def test_dense_oracle_matches_combinatorial():
             slow = noncommuting_profile_dense(f, g, psi2)
             for name in ("h_f", "h_g", "h_joint", "h_f_given_g", "h_g_given_f", "mutual"):
                 assert getattr(fast, name) == pytest.approx(getattr(slow, name), abs=1e-12)
+
+
+def test_dense_oracle_reads_zero_on_an_empty_region():
+    """A one-class F distinguishes nothing, so the regions F must split hold no index tuple."""
+    rng = np.random.default_rng(30)
+    for n in (2, 3):
+        f = Observable((1,) * n)
+        g = helpers.random_observable(rng, n, min_classes=2)
+        psi2 = helpers.random_state(rng, n * n)
+        fast = noncommuting_profile(f, g, psi2, "regions")
+        slow = noncommuting_profile_dense(f, g, psi2)
+        for name in ("h_f", "h_g", "h_joint", "h_f_given_g", "h_g_given_f", "mutual"):
+            assert getattr(fast, name) == pytest.approx(getattr(slow, name), abs=1e-12)
+        assert (slow.h_f, slow.h_f_given_g, slow.mutual) == (0.0, 0.0, 0.0)
 
 
 def test_dense_oracle_guard():
