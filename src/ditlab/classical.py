@@ -72,8 +72,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import (BoundExceeded, IndexOutOfRange, InvalidDistribution, LengthMismatch, UniverseMismatch,
-                     _agree, _lazy)
+from .errors import (BoundExceeded, IndexOutOfRange, InvalidArgument, InvalidDistribution, LengthMismatch,
+                     UniverseMismatch, _agree, _lazy)
 from .partitions import (
     DITSET_MATERIALIZE_BOUND,
     PairSet,
@@ -154,7 +154,7 @@ def _numerators(weights, denominators=None) -> tuple:
     return [a * (d // b) for a, b in zip(weights, denominators)], d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProbDist:
     """A probability distribution on ``{0, ..., n-1}``.
 
@@ -164,14 +164,18 @@ class ProbDist:
 
     Validation forms ``_terms``, what every sum reads.  A distribution loaded
     from ``"a/b"`` strings is built from their ints by :meth:`_from_ratios` and
-    keeps only ``_terms``, from which its Fraction ``weights`` are formed on
-    first read; one built from its weights has them from the start.
+    keeps only ``_terms``; its Fraction ``weights``, a lazy field, are formed
+    from it on first read.  One built from its weights has them from the start.
     """
 
     weights: tuple
 
-    def __post_init__(self):
-        w = tuple(self.weights)
+    @_lazy
+    def weights(self):
+        return tuple(map(Fraction, self._terms[0], repeat(self._terms[1])))
+
+    def __init__(self, weights):
+        w = tuple(weights)
         object.__setattr__(self, "weights", w)
         if not w:
             raise InvalidDistribution("a distribution needs at least one weight")
@@ -216,14 +220,6 @@ class ProbDist:
         p._keep((*_numerators(list(map(operator.floordiv, numerators, g)),
                               list(map(operator.floordiv, denominators, g))), [True] * len(g)))
         return p
-
-    def __getattr__(self, name):
-        """The Fraction ``weights`` of a distribution built by :meth:`_from_ratios`, formed once
-        from ``_terms``: ``Fraction(x, d)`` per numerator ``x``, its reduced ratio."""
-        if name != "weights" or "_terms" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, "weights", tuple(map(Fraction, self._terms[0], repeat(self._terms[1]))))
-        return self.weights
 
     @_lazy
     def _arrays(self):
@@ -507,7 +503,7 @@ def _route(what: str, method: str, closed, oracle, small: bool, tol=FLOAT_TOL):
     exactly when the weights, and so the profile, are exact, else within ``tol``.
     """
     if method not in ("auto", "closed", "regions"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidArgument(f"unknown method {method!r}")
     if method == "regions":
         return oracle()
     prof = closed()

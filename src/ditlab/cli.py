@@ -32,7 +32,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import repeat
 
@@ -340,11 +339,11 @@ def cmd_entropy(args) -> dict:
     shannon = {}
     if args.shannon:
         sprof = classical.shannon_profile(pi, sigma, blocks)
-        shannon = {"H_" + k.removeprefix("h_"): v for k, v in asdict(sprof).items()}
+        shannon = {"H_" + k.removeprefix("h_"): v for k, v in vars(sprof).items()}
         tprof = classical.shannon_profile_from_transform(pi, sigma, blocks)
         identities.append(("shannon_transform", tprof.h_pi_given_sigma - sprof.h_pi_given_sigma,
                            tol, ("H_pi_given_sigma",)))
-    return _report("entropy", inputs, {**asdict(prof), **distances, **shannon}, identities)
+    return _report("entropy", inputs, {**vars(prof), **distances, **shannon}, identities)
 
 
 def cmd_tautology(args) -> dict:

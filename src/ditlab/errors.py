@@ -12,6 +12,10 @@ class DitlabError(Exception):
     """Base class for all errors raised by this library."""
 
 
+class InvalidArgument(DitlabError, ValueError):
+    """An argument outside its domain: an unknown method or region name, or a size below its least."""
+
+
 # ---------------------------------------------------------------- partitions
 
 class PartitionError(DitlabError, ValueError):
@@ -145,7 +149,8 @@ class _lazy:
     an RLock on every first read, and the library's carriers are built per
     call, so nearly every read is a first one.  As a non-data descriptor, it
     is found again only while the instance holds no value under its name.
-    Read on the class, it is the descriptor itself.
+    Read on the class, it is the descriptor itself.  It serves a dataclass field
+    too, as its default under ``init=False``: the class's own ``__init__`` sets it or leaves it.
     """
 
     def __init__(self, fn):

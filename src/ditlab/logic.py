@@ -40,6 +40,7 @@ from typing import Mapping, Optional
 from .errors import (
     BoundExceeded,
     FormulaSyntaxError,
+    InvalidArgument,
     UnboundVariable,
     UniverseMismatch,
     _agree,
@@ -307,7 +308,7 @@ def check_tautology(
     the plan stops counting as soon as it does.
     """
     if max_n < 2:
-        raise ValueError(f"max_n must be >= 2, got {max_n}")
+        raise InvalidArgument(f"max_n must be >= 2, got {max_n}")
     names = variables(f)
     if _planned(len(names), max_n, work_limit) > work_limit:
         raise BoundExceeded(

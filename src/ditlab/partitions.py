@@ -37,6 +37,7 @@ from .errors import (
     BoundExceeded,
     EmptyBlock,
     IndexOutOfRange,
+    InvalidArgument,
     OverlappingBlocks,
     PartitionError,
     UncoveredElement,
@@ -89,18 +90,22 @@ def _is_element(x, n: int) -> bool:
             or isinstance(x, numbers.Integral) and not isinstance(x, bool) and 0 <= x < n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PairSet:
     """A set of ordered pairs of universe elements, e.g. a ditset.  The constructor takes a ``Universe``
     or its size and keeps a checked frozenset ``pairs``; a set the library builds keeps its n x n boolean
-    indicator (entry ``[a, b]`` for pair ``(a, b)``) and forms ``pairs`` when they are first read."""
+    indicator (entry ``[a, b]`` for pair ``(a, b)``) and forms ``pairs``, a lazy field, on first read."""
 
     universe: Universe
     pairs: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "universe", _as_universe(self.universe))
-        pairs = list(self.pairs)
+    @_lazy
+    def pairs(self):
+        return frozenset(zip(*(a.tolist() for a in self._indicator.nonzero())))
+
+    def __init__(self, universe, pairs):
+        object.__setattr__(self, "universe", _as_universe(universe))
+        pairs = list(pairs)
         n = self.universe.size
         for pair in pairs:  # before hashing, so an unhashable member is refused like any other
             if not (isinstance(pair, tuple) and len(pair) == 2
@@ -108,12 +113,6 @@ class PairSet:
                 raise IndexOutOfRange(f"pair {pair!r} outside universe of size {n}")
         # Python ints inserted in sorted order, as a built set forms its pairs, so equal sets print alike.
         object.__setattr__(self, "pairs", frozenset(sorted({(int(a), int(b)) for a, b in pairs})))
-
-    def __getattr__(self, name):
-        if name != "pairs" or "_indicator" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, "pairs", frozenset(zip(*(a.tolist() for a in self._coords()))))
-        return self.pairs
 
     def _coords(self):
         """The pairs' first and second elements, two index arrays in sorted (row-major) pair order."""
@@ -159,31 +158,29 @@ def _pairset(u: Universe, pairs) -> PairSet:
     return s
 
 
-@dataclass(frozen=True)
+def _blocks_from_code(p: "Partition") -> tuple:
+    """The canonical ``blocks``, formed from the code once, when first read."""
+    blocks = [[] for _ in range(p.n_blocks)]
+    for x, i in enumerate(p._block_of):
+        blocks[i].append(x)
+    return tuple(map(tuple, blocks))
+
+
+@dataclass(frozen=True, init=False)
 class Partition:
     """A set partition, stored as its canonical code ``_block_of``, which ``==`` and ``hash`` read.
 
-    The canonical ``blocks`` are derived from the code on first read.  The constructor
-    takes a ``Universe`` or its size, validates its blocks as :func:`make_partition`
+    The canonical ``blocks``, a lazy field, are derived from the code on first read.  The
+    constructor takes a ``Universe`` or its size, validates its blocks as :func:`make_partition`
     does, raising the same errors, and keeps what that call keeps: ``Universe`` and code.
     """
 
     universe: Universe
-    blocks: tuple = field(compare=False)
+    blocks: tuple = field(compare=False, default=_lazy(_blocks_from_code))
     _block_of: tuple = field(init=False)
 
-    def __post_init__(self):
-        self.__dict__.update(vars(make_partition(self.universe, self.__dict__.pop("blocks"))))
-
-    def __getattr__(self, name):
-        """The canonical ``blocks``, formed from the code once, when first read."""
-        if name != "blocks" or "_block_of" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        blocks = [[] for _ in range(self.n_blocks)]
-        for x, i in enumerate(self._block_of):
-            blocks[i].append(x)
-        object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))
-        return self.blocks
+    def __init__(self, universe, blocks):
+        self.__dict__.update(vars(make_partition(universe, blocks)))
 
     def block_containing(self, x: int) -> int:
         """Index (into ``blocks``) of the block holding element ``x``."""
@@ -397,7 +394,7 @@ def _bell_numbers() -> Iterator[int]:
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-element set (Bell number)."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InvalidArgument("n must be >= 0")
     return next(itertools.islice(_bell_numbers(), n, None))
 
 

@@ -35,14 +35,15 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import classical, density
 from .classical import JointDist, ProbDist
-from .errors import BoundExceeded, DimensionMismatch, InvalidObservable, NotCommuting, _agree, _lazy
+from .errors import (BoundExceeded, DimensionMismatch, InvalidArgument, InvalidObservable, NotCommuting,
+                     _agree, _lazy)
 from .partitions import PairSet, Partition, Universe, _grouped, ditset
 
 #: Tolerance used when grouping float eigenvalues into classes.
@@ -288,7 +289,7 @@ class QuantumProfile:
 
 
 def _profile_from_classical(prof: classical.EntropyProfile) -> QuantumProfile:
-    return QuantumProfile(*(float(getattr(prof, f.name)) for f in fields(prof)))
+    return QuantumProfile(*map(float, vars(prof).values()))
 
 
 def _dim(F: Observable, G: Observable) -> int:
@@ -391,7 +392,7 @@ def qudit_region_tuples(F: Observable, G: Observable, region: str) -> list:
     regions are the boolean combinations (``"mutual"`` = both differ).
     """
     if region not in _REGIONS:
-        raise ValueError(f"unknown region {region!r}; expected one of {_REGIONS}")
+        raise InvalidArgument(f"unknown region {region!r}; expected one of {_REGIONS}")
     n = _dim(F, G)
     cells = classical._REGION_CELLS[_REGIONS.index(region)]
     fid = F.eigenvalue_partition()._block_of

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from ditlab import classical, cli, density, errors, logic, quantum
+from ditlab import classical, cli, density, errors, logic, partitions, quantum
 from ditlab.classical import (
     EntropyProfile, JointDist, ProbDist, block_probabilities, entropy_profile, twoset_profile,
 )
@@ -1288,6 +1288,18 @@ def test_region_kernel_runs_at_dim_31_and_not_at_dim_32(monkeypatch, dim, runs):
     F, G = (helpers.random_observable(rng, dim) for _ in range(2))
     quantum.noncommuting_profile(F, G, helpers.random_state(rng, dim * dim))
     assert len(calls) == 2 * runs
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: entropy_profile(*_pair(3), "fast"), "unknown method 'fast'"),
+    (lambda: logic.check_tautology(logic.parse("p"), 1), "max_n must be >= 2, got 1"),
+    (lambda: partitions.bell_number(-1), "n must be >= 0"),
+    (lambda: quantum.qudit_region_tuples(Observable((0, 1)), Observable((0, 1)), "x"), "unknown region 'x'"),
+], ids=["method", "max-n", "bell-number", "region"])
+def test_a_refused_argument_is_a_ditlab_error_and_a_value_error(call, message):
+    with pytest.raises(errors.DitlabError, match=message) as info:
+        call()
+    assert type(info.value) is errors.InvalidArgument and isinstance(info.value, ValueError)
 
 
 def test_unknown_method_raises_value_error():

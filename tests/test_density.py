@@ -29,6 +29,7 @@ from ditlab.density import (
     von_neumann,
 )
 from ditlab.errors import (
+    BoundExceeded,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidDensityMatrix,
@@ -417,3 +418,18 @@ def test_overflowing_hermitian_gap_is_not_hermitian():
 
 def test_package_exports_the_projectors_the_readme_imports():
     assert ditlab.projectors_from_partition is projectors_from_partition
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: projectors_from_eigenbasis(np.eye(3), top(2)), DimensionMismatch,
+     "basis dimension 3 does not match partition size 2"),
+    (lambda: decohered_sumsq(np.eye(2) / 2, np.eye(3) / 3), DimensionMismatch,
+     r"shapes \(2, 2\) and \(3, 3\) differ"),
+    (lambda: classical_decohered_sumsq(ClassicalDensity(top(2), ProbDist.uniform(2)),
+                                       ClassicalDensity(top(2), ProbDist((Fraction(1, 4), Fraction(3, 4))))),
+     DimensionMismatch, "decoherence accounting needs a common distribution"),
+    (lambda: inditset(top(65)), BoundExceeded, "inditset materialization for n=65 exceeds bound 64"),
+], ids=["basis-dimension", "matrix-shapes", "distributions", "inditset-bound"])
+def test_mismatched_or_oversized_inputs_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import pickle
 import re
@@ -25,6 +26,7 @@ from ditlab.errors import (
     PartitionError,
     UncoveredElement,
     UniverseMismatch,
+    _lazy,
 )
 from ditlab.partitions import (
     PairSet,
@@ -337,7 +339,13 @@ def test_a_pair_set_the_library_builds_behaves_as_one_from_the_constructor(pair)
             assert all(type(a) is int and type(b) is int for a, b in s.pairs)
             assert len(s) == len(want) and list(s) == sorted(want)
             assert [m in s for m in members] == [m in want for m in members]
+            assert dataclasses.replace(s) == s
         assert built.issubset(twin) and twin.issubset(built)
+
+
+def test_the_derived_fields_are_lazy_fields():
+    for cls, name in ((ProbDist, "weights"), (PairSet, "pairs"), (Partition, "blocks")):
+        assert isinstance(vars(cls)[name], _lazy)
 
 
 def test_the_length_of_a_ditset_is_read_without_forming_its_pairs():
@@ -459,6 +467,7 @@ def test_a_partition_the_library_builds_behaves_as_one_from_the_constructor(n):
                 assert repr(s) == repr(twins[0]) == repr(twins[1])
                 assert s.blocks == twins[1].blocks and all(type(x) is int for b in s.blocks for x in b)
                 assert pickle.loads(pickle.dumps(s)) == s and copy.copy(s).blocks == s.blocks
+                assert dataclasses.replace(s) == s
 
 
 def test_a_shannon_profile_forms_no_blocks_of_its_join(monkeypatch):
